@@ -24,6 +24,8 @@ table:
 
 starting from the level-0 values F(0) = 0 and F(1) = 1/2.  Tables hold exact
 values of the limit F at grid points, not integrals of the finite iterates.
+They are ``BreakpointTable``s (shared with f): integer numerators over the
+one denominator 2 * 9**i, with ``param`` None.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, OrderError, ParameterError
-from .function import MAX_TABLE_LEVEL, _check_level
+from .function import MAX_TABLE_LEVEL, BreakpointTable, _check_level
 from .ternary import (
     IDENTITY,
     AffineMap,
@@ -43,52 +45,6 @@ from .ternary import (
 )
 
 F_HALF = Fraction(1, 2)
-
-
-class AntiderivativeTable:
-    """Breakpoints (k/3**i, F(k/3**i)) stored as integer numerators over the
-    common denominator 2 * 9**i."""
-
-    __slots__ = ("level", "_ynums", "_yden", "_xden", "_bp")
-
-    def __init__(self, level: int, ynums: list[int]):
-        self.level = level
-        self._ynums = ynums
-        self._yden = 2 * 9**level
-        self._xden = 3**level
-        self._bp: tuple[tuple[Fraction, Fraction], ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self._ynums)
-
-    def y_at(self, k: int) -> Fraction:
-        return Fraction(self._ynums[k], self._yden)
-
-    @property
-    def y_numerators(self) -> list[int]:
-        """Integer y-numerators over ``y_denominator`` (shared, do not mutate)."""
-        return self._ynums
-
-    @property
-    def y_denominator(self) -> int:
-        return self._yden
-
-    @property
-    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        if self._bp is None:
-            xd, yd = self._xden, self._yden
-            self._bp = tuple(
-                (Fraction(k, xd), Fraction(n, yd)) for k, n in enumerate(self._ynums)
-            )
-        return self._bp
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AntiderivativeTable):
-            return NotImplemented
-        return self.level == other.level and self._ynums == other._ynums
-
-    def __repr__(self) -> str:
-        return f"AntiderivativeTable(level={self.level}, points={len(self)})"
 
 
 def _next_f_ynums(level: int, ynums: list[int]) -> list[int]:
@@ -107,13 +63,13 @@ def _next_f_ynums(level: int, ynums: list[int]) -> list[int]:
     return left + middle[1:] + right[1:]
 
 
-def build_F_iterate(i: int) -> AntiderivativeTable:
-    """Breakpoint table of F at level i."""
+def build_F_iterate(i: int) -> BreakpointTable:
+    """Breakpoint table of F at level i, numerators over 2 * 9**i."""
     _check_level(i, MAX_TABLE_LEVEL)
     ynums = [0, 1]  # F(0) = 0, F(1) = 1/2 over denominator 2
     for lvl in range(i):
         ynums = _next_f_ynums(lvl, ynums)
-    return AntiderivativeTable(i, ynums)
+    return BreakpointTable(i, ynums, 2 * 9**i)
 
 
 @dataclass(frozen=True)

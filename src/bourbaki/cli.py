@@ -35,7 +35,7 @@ from .render import (
 )
 from .verify import run_verification
 
-_RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 
 def _parse_rational(text: str) -> Fraction:

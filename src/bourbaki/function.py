@@ -13,6 +13,10 @@ affine map, and the graph of the classical function is the attractor of three
 plane affine maps.  Those three descriptions are implemented side by side and
 cross-checked: refinement tables, digit maps with exact periodic-tail closure,
 and the iterated function system.
+
+Refinement tables of f and of the antiderivative F share one type,
+``BreakpointTable``: the level, the y-values as integer numerators over one
+common denominator, and the family parameter (None for F).
 """
 
 from __future__ import annotations
@@ -79,23 +83,26 @@ class PlanePoint:
         object.__setattr__(self, "y", check_unit_interval(self.y, "y"))
 
 
-class IterateTable:
-    """Breakpoints of one piecewise-linear iterate.
+class BreakpointTable:
+    """Breakpoints (k/3**level, y_k) of one piecewise-linear construction table.
 
     Level i has 3**i + 1 breakpoints at x = k/3**i.  The y-values are stored
-    as integer numerators over a common denominator (3**i classically,
-    q**i for a = p/q) so deep tables stay compact.
+    only as integer numerators over one common denominator (3**i classically,
+    q**i for a = p/q, 2 * 9**i for the antiderivative), so deep tables stay
+    compact and renderers can work on small integers.  ``param`` is the
+    family parameter of an f table and None for an F table, so tables of the
+    two kinds never compare equal.
     """
 
-    __slots__ = ("level", "param", "_ynums", "_yden", "_xden", "_bp")
+    __slots__ = ("level", "param", "_ynums", "_yden")
 
-    def __init__(self, level: int, param: FamilyParam, ynums: list[int], yden: int):
+    def __init__(
+        self, level: int, ynums: list[int], yden: int, param: FamilyParam | None = None
+    ):
         self.level = level
         self.param = param
         self._ynums = ynums
         self._yden = yden
-        self._xden = 3**level
-        self._bp: tuple[tuple[Fraction, Fraction], ...] | None = None
 
     def __len__(self) -> int:
         return len(self._ynums)
@@ -115,15 +122,12 @@ class IterateTable:
 
     @property
     def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        if self._bp is None:
-            xd, yd = self._xden, self._yden
-            self._bp = tuple(
-                (Fraction(k, xd), Fraction(n, yd)) for k, n in enumerate(self._ynums)
-            )
-        return self._bp
+        """Exact (x, y) pairs, built on every access; renderers do not use it."""
+        xd, yd = 3**self.level, self._yden
+        return tuple((Fraction(k, xd), Fraction(n, yd)) for k, n in enumerate(self._ynums))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, IterateTable):
+        if not isinstance(other, BreakpointTable):
             return NotImplemented
         return (
             self.level == other.level
@@ -133,7 +137,8 @@ class IterateTable:
         )
 
     def __repr__(self) -> str:
-        return f"IterateTable(level={self.level}, a={self.param.a}, points={len(self)})"
+        a = "F" if self.param is None else f"a={self.param.a}"
+        return f"BreakpointTable(level={self.level}, {a}, points={len(self)})"
 
 
 def _check_level(i: int, cap: int = MAX_TABLE_LEVEL) -> None:
@@ -143,7 +148,7 @@ def _check_level(i: int, cap: int = MAX_TABLE_LEVEL) -> None:
         raise ResourceLimitError(f"level {i} exceeds the supported cap {cap}")
 
 
-def build_iterate(i: int, param: FamilyParam = CLASSICAL) -> IterateTable:
+def build_iterate(i: int, param: FamilyParam = CLASSICAL) -> BreakpointTable:
     """Breakpoint table of the i-th iterate, starting from f_0(x) = x."""
     _check_level(i)
     p = param.a.numerator
@@ -161,15 +166,16 @@ def build_iterate(i: int, param: FamilyParam = CLASSICAL) -> IterateTable:
         nxt.append(ynums[-1] * q)
         ynums = nxt
         yden *= q
-    return IterateTable(i, param, ynums, yden)
+    return BreakpointTable(i, ynums, yden, param)
 
 
-def eval_iterate(t: IterateTable, x) -> Fraction:
+def eval_iterate(t: BreakpointTable, x) -> Fraction:
     """Exact value of the iterate at any x in [0, 1] by linear interpolation."""
     r = check_unit_interval(x)
-    scaled = r * t._xden
+    xden = 3**t.level
+    scaled = r * xden
     k = int(scaled)
-    if k == t._xden:  # x == 1 sits on the last breakpoint
+    if k == xden:  # x == 1 sits on the last breakpoint
         k -= 1
     y0 = t.y_at(k)
     y1 = t.y_at(k + 1)
@@ -193,18 +199,18 @@ def ifs_map_point(n: int, pt: PlanePoint) -> PlanePoint:
     raise ParameterError(f"map index must be 1, 2 or 3, got {n!r}")
 
 
-def ifs_refine(t: IterateTable) -> IterateTable:
+def ifs_refine(t: BreakpointTable) -> BreakpointTable:
     """Next classical iterate as the union of the three map images of ``t``.
 
     The w2 image is re-ordered (that map reverses x) and the shared corner
     points of adjacent images are deduplicated after an exact equality check.
     Must agree exactly with ``build_iterate(t.level + 1)``.
     """
-    if not t.param.is_classical:
+    if t.param is None or not t.param.is_classical:
         raise ParameterError("the iterated function system applies to a = 2/3 only")
     _check_level(t.level + 1)
-    pow3 = t._xden
-    ynums = t._ynums
+    pow3 = 3**t.level
+    ynums = t.y_numerators
     # New common denominator 3**(level+1); x-index j runs over 0 .. 3**(level+1).
     left = [2 * n for n in ynums]
     middle = [pow3 + n for n in reversed(ynums)]
@@ -212,7 +218,7 @@ def ifs_refine(t: IterateTable) -> IterateTable:
     if left[-1] != middle[0] or middle[-1] != right[0]:
         raise ConsistencyError("map images disagree at shared corners")
     merged = left + middle[1:] + right[1:]
-    return IterateTable(t.level + 1, t.param, merged, 3 * pow3)
+    return BreakpointTable(t.level + 1, merged, 3 * pow3, t.param)
 
 
 def digit_step_map(d: int, param: FamilyParam = CLASSICAL) -> AffineMap:
@@ -351,7 +357,7 @@ def closed_form_value(case: str, i: int, j: int | None = None) -> tuple[Fraction
     return Fraction(1, 3**j - p3), scale * Fraction(2**k, 3**k + 2 ** (k - 1))
 
 
-_DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d*))?$|^\.(\d+)$")
+_DECIMAL_RE = re.compile(r"^([0-9]+)(?:\.([0-9]*))?$|^\.([0-9]+)$")
 
 
 def parse_decimal(text: str) -> Fraction:
@@ -377,7 +383,8 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
     inside the returned closed interval; the width shrinks like (2/3)**depth.
     """
     r = check_unit_interval(parse_decimal(text), "decimal input")
-    tol = Fraction(tol)
+    if isinstance(tol, bool) or not isinstance(tol, (int, Fraction)):
+        raise ParameterError(f"tolerance must be an exact rational, got {tol!r}")
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     m = IDENTITY
@@ -393,6 +400,6 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
 
 
 @lru_cache(maxsize=4)
-def classical_table(i: int) -> IterateTable:
+def classical_table(i: int) -> BreakpointTable:
     """Cached classical tables for read-heavy consumers (geometry, verify)."""
     return build_iterate(i)

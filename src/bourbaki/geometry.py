@@ -117,10 +117,17 @@ class CoverRectangle:
 
 
 def _check_digits(digits) -> tuple[int, ...]:
-    ds = tuple(int(d) for d in digits) if not isinstance(digits, str) else tuple(
-        int(c) for c in digits
-    )
-    if not all(d in (0, 1, 2) for d in ds):
+    """A digit path given as a string over "012" or as ints 0, 1, 2."""
+    if isinstance(digits, str):
+        ds = tuple("012".find(c) for c in digits)  # -1 for any other character
+    else:
+        try:
+            ds = tuple(digits)
+        except TypeError:
+            raise DigitError(
+                f"digit path must be a string or a sequence: {digits!r}"
+            ) from None
+    if not all(type(d) is int and d in (0, 1, 2) for d in ds):
         raise DigitError(f"digit path must use digits 0, 1, 2 only: {digits!r}")
     return ds
 

@@ -2,12 +2,19 @@
 
 Every function here returns a string that depends only on its exact input,
 never on platform float behaviour, so repeated runs emit identical bytes.
+
+Tables are rendered straight from their integer y-numerators, the common
+y-denominator and the level (x = k/3**level), with no Fraction or Decimal
+per point.  SVG coordinates keep the rounding of the original Decimal
+renderer digit for digit: the exact value rounded half-even to 40
+significant digits, then half-even to 6 decimal places.
 """
 
 from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParameterError
 
@@ -17,6 +24,11 @@ _SIG = 12
 _VIEW = 900
 _MARGIN = 2
 _SPAN = _VIEW - 2 * _MARGIN
+# Below this denominator the 40-digit rounding cannot move a coordinate in
+# [2, 898] onto a 6-place tie: a value n/d off a tie is at least 1/(2e6 d)
+# away from it, more than the 0.5e-37 that 40 significant digits move it.
+# The second rounding then gives what one rounding of n/d gives.
+_ONE_ROUNDING_DEN = 10**31
 
 
 def format_rational(x) -> str:
@@ -57,34 +69,53 @@ def format_value(x) -> str:
 
 
 def csv_table(table) -> str:
-    """CSV dump of a table's breakpoints, LF line endings, one trailing LF."""
+    """CSV dump of a table's breakpoints, LF line endings, one trailing LF.
+
+    Each row is x = k/3**level and y in lowest terms.
+    """
+    xden, yden = 3**table.level, table.y_denominator
     lines = ["x_num,x_den,y_num,y_den"]
-    for x, y in table.breakpoints:
-        lines.append(f"{x.numerator},{x.denominator},{y.numerator},{y.denominator}")
+    for k, n in enumerate(table.y_numerators):
+        gx, gy = gcd(k, xden), gcd(n, yden)
+        lines.append(f"{k // gx},{xden // gx},{n // gy},{yden // gy}")
     return "\n".join(lines) + "\n"
 
 
-def _coord(value: Fraction) -> str:
-    d = _CTX.divide(Decimal(value.numerator), Decimal(value.denominator))
-    return format(d.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN), "f")
+def _div_half_even(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q
+
+
+def _coord(num: int, den: int) -> str:
+    """The value num/den in [2, 898] with 6 decimals, rounded as
+    ``Context(prec=40).divide`` and then ``quantize`` round it."""
+    if den >= _ONE_ROUNDING_DEN:
+        places = _CTX.prec - len(str(num // den))
+        num, den = _div_half_even(num * 10**places, den), 10**places
+    whole, frac = divmod(_div_half_even(num * 10**6, den), 10**6)
+    return f"{whole}.{frac:06d}"
 
 
 def svg_polyline(table) -> str:
     """Plot a table's graph as a single polyline in a 900 x 900 viewBox.
 
     The unit square maps to the viewBox minus a 2-unit margin, with the
-    y axis flipped so larger function values appear higher.
+    y axis flipped so larger function values appear higher.  Breakpoint k
+    with numerator n sits at (2 + 896 k/3**level, 2 + 896 (1 - n/yden)).
     """
-    points = []
-    for x, y in table.breakpoints:
-        px = _MARGIN + _SPAN * x
-        py = _MARGIN + _SPAN * (1 - y)
-        points.append(f"{_coord(px)},{_coord(py)}")
+    xden, yden = 3**table.level, table.y_denominator
+    top = (_MARGIN + _SPAN) * yden
+    points = " ".join(
+        f"{_coord(_MARGIN * xden + _SPAN * k, xden)},{_coord(top - _SPAN * n, yden)}"
+        for k, n in enumerate(table.y_numerators)
+    )
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_VIEW} {_VIEW}" width="{_VIEW}" height="{_VIEW}">\n'
         '  <polyline fill="none" stroke="black" stroke-width="1" points="'
-        + " ".join(points)
+        + points
         + '"/>\n'
         "</svg>\n"
     )

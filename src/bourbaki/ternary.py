@@ -34,7 +34,7 @@ _DIGITS = frozenset((0, 1, 2))
 def _as_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise DomainError(f"expected an exact rational, got {type(x).__name__}")
 

@@ -22,7 +22,7 @@ from bourbaki.antiderivative import (
     range_integral,
 )
 from bourbaki.errors import OrderError, ParameterError, ResourceLimitError
-from bourbaki.function import eval_exact
+from bourbaki.function import CLASSICAL, BreakpointTable, build_iterate, eval_exact
 from bourbaki.ternary import IDENTITY, AffineMap
 
 F = Fraction
@@ -51,6 +51,22 @@ class TestBuildFIterate:
         fine = build_F_iterate(i + 1)
         for k in range(3**i + 1):
             assert fine.y_at(3 * k) == coarse.y_at(k)
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 3, 4])
+    def test_f_and_F_tables_differ(self, i):
+        f_table, F_table = build_iterate(i), build_F_iterate(i)
+        assert f_table != F_table and F_table != f_table
+        assert F_table == build_F_iterate(i)
+        # Same numerators over the same denominator: the kind alone differs.
+        bare = BreakpointTable(i, F_table.y_numerators, F_table.y_denominator)
+        assert bare == F_table
+        assert BreakpointTable(i, F_table.y_numerators, F_table.y_denominator, CLASSICAL) != F_table
+
+    @pytest.mark.parametrize("i", [0, 1, 3])
+    def test_y_at_matches_breakpoints(self, i):
+        for t in (build_iterate(i), build_F_iterate(i)):
+            assert [t.y_at(k) for k in range(len(t))] == [y for _, y in t.breakpoints]
+            assert [x for x, _ in t.breakpoints] == [F(k, 3**i) for k in range(len(t))]
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4, 5, 6])
     def test_values_nondecreasing(self, i):

@@ -4,6 +4,7 @@ Golden strings here pin the exact bytes of each output format; any
 formatting change must update them deliberately.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,6 +28,19 @@ SVG_BIG_F_LEVEL_1 = (
     '599.333333,649.111111 898.000000,450.000000"/>\n'
     "</svg>\n"
 )
+
+# SHA-256 of `iterate` output files, pinned from the Fraction/Decimal renderer
+# that the integer renderer replaced.  a = 1/99991 gives y-denominators past
+# 10**34, where SVG coordinates go through both roundings (40 significant
+# digits, then 6 places).
+ITERATE_DIGESTS = [
+    (["f", "8", "csv"], "472b624dc24fbeb416b6494b3a4c26af8c9b0170e9ed21d1765717ecd9daff81"),
+    (["F", "8", "svg"], "3f45dc46fedb39ba963b44f7dcac44e9c056ff4c0072fbf137d159dd94e06629"),
+    (["F", "6", "csv"], "9a067d5312744afe8fa6606f55c0955cb826a8512731907f3fda5c45144f3901"),
+    (["f", "6", "svg", "37/76"], "baaba142bf35cf4b2c14505cb5a0c6526f239e7957ea78619c182ed5fc7dffdd"),
+    (["f", "7", "svg", "1/99991"], "ffadd65fd8d8dade13acd5edd7dbc367078f68f517463375ab8f5897d0753eb8"),
+    (["f", "7", "csv", "1/99991"], "bf76397ba611225c886cfa453fb1636a615e40a601a40e046230d11976138d49"),
+]
 
 
 class TestRender:
@@ -157,6 +171,15 @@ class TestIterateCommand:
         assert run(argv) == 0
         assert path.read_text().splitlines()[2] == "1,3,1,4"
 
+    @pytest.mark.parametrize("spec,digest", ITERATE_DIGESTS)
+    def test_output_digest(self, tmp_path, spec, digest):
+        target, level, fmt, *a = spec
+        path = tmp_path / f"out.{fmt}"
+        argv = ["iterate", "--target", target, "--level", level, "--format", fmt]
+        argv += ["--out", str(path)] + (["--a", a[0]] if a else [])
+        assert run(argv) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_a_rejected_for_antiderivative(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         argv = [
@@ -257,6 +280,14 @@ class TestExitCodes:
             ["nonsense"],
             ["eval-f"],
             ["eval-f", "1/2", "--bogus"],
+            ["eval-f", "\u0661/\u0663"],
+            ["eval-f", "\uff11/\uff13"],
+            ["eval-F", "\u0661/\u0663"],
+            ["eval-f", "1/3", "--a", "\u0661/\u0664"],
+            ["approx-f", "\u0660.\u0665", "--tol", "0.1"],
+            ["approx-f", "0.5", "--tol", "\uff10.\uff11"],
+            ["measure", "--digits", "0a"],
+            ["measure", "--digits", "\u0661"],
         ],
     )
     def test_invalid_input_exits_1(self, capsys, argv):

@@ -356,6 +356,11 @@ class TestApproxEval:
         with pytest.raises(ParameterError):
             approx_eval("0.5", F(0))
 
+    @pytest.mark.parametrize("tol", [0.001, True, "0.001"])
+    def test_tolerance_must_be_exact(self, tol):
+        with pytest.raises(ParameterError):
+            approx_eval("0.5", tol)
+
 
 class TestParseDecimal:
     @pytest.mark.parametrize(
@@ -364,3 +369,8 @@ class TestParseDecimal:
     )
     def test_values(self, text, value):
         assert parse_decimal(text) == value
+
+    @pytest.mark.parametrize("text", ["\u0660.\u0665", "\uff10.\uff15", "0.\u0665"])
+    def test_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_decimal(text)

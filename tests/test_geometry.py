@@ -139,6 +139,13 @@ class TestIntervalMass:
         with pytest.raises(DigitError):
             interval_mass("013")
 
+    @pytest.mark.parametrize(
+        "digits", ["0a", "0 1", "\u0661", "\uff11", [1.5, 0.2], (0, 3), [True], ["1"], 5]
+    )
+    def test_malformed_path(self, digits):
+        with pytest.raises(DigitError):
+            interval_mass(digits)
+
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4, 5, 6])
     def test_mass_sums_to_one(self, i):
         assert mass_measure(i).total() == 1

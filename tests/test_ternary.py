@@ -17,6 +17,7 @@ from bourbaki.ternary import (
     AffineMap,
     TernaryExpansion,
     affine_compose,
+    check_unit_interval,
     affine_fixed_point,
     compose_chain,
     from_ternary,
@@ -104,6 +105,11 @@ class TestToTernary:
             to_ternary(Fraction(-1, 4))
         with pytest.raises(DomainError):
             to_ternary(0.5)
+
+    @pytest.mark.parametrize("x", [True, False, 0.5])
+    def test_unit_interval_rejects_inexact_types(self, x):
+        with pytest.raises(DomainError):
+            check_unit_interval(x)
 
 
 class TestCanonicalForm:
