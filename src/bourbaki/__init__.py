@@ -8,8 +8,6 @@ and polygonal arc lengths.
 """
 
 from .antiderivative import (
-    DigitStatePair,
-    F_digit_step,
     build_F_iterate,
     eval_F_exact,
     integral_closed_form,
@@ -84,10 +82,8 @@ __all__ = [
     "ConsistencyError",
     "CoverRectangle",
     "DigitError",
-    "DigitStatePair",
     "DomainError",
     "EmptyInputError",
-    "F_digit_step",
     "FamilyParam",
     "MassMeasure",
     "OrderError",

@@ -7,12 +7,18 @@ identities of f gives, for a point with leading base-3 digit d and tail t:
     digit 1:  F((1 + t)/3) = (1/9) (1 + 2t - F(t))
     digit 2:  F((2 + t)/3) = (1/9) (5/2 + t) + (2/9) F(t)
 
-The tail value t enters the intercepts, so the digit walk tracks the exact
-tail alongside the accumulated affine map.  Closing a periodic tail is done
-with a joint affine map in the pair (t, F(t)): both components transform
-affinely under a digit step, the composite over one period is contracting in
-each, and the two fixed-point equations solve the closure exactly without
-ever materializing per-rotation tail values.
+The tail value t enters the intercepts, so every walk acts on the pair
+(t, G) with G = 2 F(t).  Over the denominator 9 each digit is then an integer
+joint affine map
+
+    t' = (3 t + 3 d)/9       G' = (p t + q G + r)/9
+
+with (p, q, r) = (0, 2, 0), (4, -1, 2), (2, 2, 5) for d = 0, 1, 2.  The
+composite over one period, built by ``balanced_product`` with denominator
+9**k, is contracting in each component; its two fixed-point equations give
+(t*, G*) exactly, without per-rotation tail values.  The preperiod composite
+then carries (t*, G*) to (x, 2 F(x)), and the one reduction is the final
+Fraction.
 
 Breakpoint tables: F restricted to level-i grid points has common denominator
 2 * 9**i, and the three digit images of a level-i table tile the level-(i+1)
@@ -30,15 +36,13 @@ one denominator 2 * 9**i, with ``param`` None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, OrderError, ParameterError
-from .function import MAX_TABLE_LEVEL, BreakpointTable, _check_level
+from .function import MAX_TABLE_LEVEL, BreakpointTable
 from .ternary import (
-    IDENTITY,
-    AffineMap,
-    affine_compose,
+    balanced_product,
+    check_index,
     check_unit_interval,
     from_ternary,
     to_ternary,
@@ -65,100 +69,59 @@ def _next_f_ynums(level: int, ynums: list[int]) -> list[int]:
 
 def build_F_iterate(i: int) -> BreakpointTable:
     """Breakpoint table of F at level i, numerators over 2 * 9**i."""
-    _check_level(i, MAX_TABLE_LEVEL)
+    check_index(i, cap=MAX_TABLE_LEVEL)
     ynums = [0, 1]  # F(0) = 0, F(1) = 1/2 over denominator 2
     for lvl in range(i):
         ynums = _next_f_ynums(lvl, ynums)
     return BreakpointTable(i, ynums, 2 * 9**i)
 
 
-@dataclass(frozen=True)
-class DigitStatePair:
-    """State of the outward digit walk: the current point and the affine map
-    carrying the F-value of the innermost closed tail to F at that point."""
-
-    tail_value: Fraction
-    F_map: AffineMap
+# Joint digit maps as integer 6-tuples (ts, tb, p, q, r, den):
+# t' = (ts t + tb)/den and G' = (p t + q G + r)/den, with G = 2 F.
+_JOINT_LEAF = {0: (3, 0, 0, 2, 0, 9), 1: (3, 3, 4, -1, 2, 9), 2: (3, 6, 2, 2, 5, 9)}
 
 
-def F_digit_step(d: int, t: Fraction, m: AffineMap) -> DigitStatePair:
-    """Prepend digit d to the point t: the new point is (d + t)/3 and the new
-    map is the digit's F-action (with the exact tail t in its intercept)
-    composed outside ``m``."""
-    t = check_unit_interval(t, "tail value")
-    if d == 0:
-        step = AffineMap(Fraction(2, 9), Fraction(0))
-    elif d == 1:
-        step = AffineMap(Fraction(-1, 9), (1 + 2 * t) / 9)
-    elif d == 2:
-        step = AffineMap(Fraction(2, 9), (Fraction(5, 2) + t) / 9)
-    else:
-        raise ParameterError(f"base-3 digit must be 0, 1 or 2, got {d!r}")
-    return DigitStatePair((d + t) / 3, affine_compose(step, m))
-
-
-def _close_periodic_tail(period: tuple[int, ...]) -> tuple[Fraction, Fraction]:
-    """Exact (t, F(t)) for a purely periodic tail.
-
-    One digit step acts affinely on the joint state (t, F):
-
-        t' = (t + d)/3
-        F' = p t + q F + r        (p, q, r depending on d as in F_digit_step)
-
-    The composite over one period is built by balanced pairwise composition
-    on unreduced integer 5-tuples (ts, tb, p, q, r) over the common
-    denominator 9**k, then both fixed points are solved: t* from the t-row
-    alone, F* from the F-row at t = t*.
-    """
-    # Leaf coefficients over denominator 18: t' = (6 t + 6 d)/18 and
-    # digit 0: F' = 4 F / 18;  digit 1: F' = (4 t - 2 F + 2)/18;
-    # digit 2: F' = (2 t + 4 F + 5)/18.  All integer.
-    leaf = {
-        0: (6, 0, 0, 4, 0),
-        1: (6, 6, 4, -2, 2),
-        2: (6, 12, 2, 4, 5),
-    }
-    level = [leaf[d] for d in period]
-    den = 18
-    while len(level) > 1:
-        nxt = []
-        for k in range(0, len(level) - 1, 2):
-            tso, tbo, po, qo, ro = level[k]
-            tsi, tbi, pi, qi, ri = level[k + 1]
-            nxt.append(
-                (
-                    tso * tsi,
-                    tso * tbi + tbo * den,
-                    po * tsi + qo * pi,
-                    qo * qi,
-                    po * tbi + qo * ri + ro * den,
-                )
-            )
-        if len(level) % 2:
-            ts, tb, p, q, r = level[-1]
-            nxt.append((ts * den, tb * den, p * den, q * den, r * den))
-        level = nxt
-        den *= den
-    ts, tb, p, q, r = level[0]
-    t_star = Fraction(tb, den - ts)
-    f_star = (p * t_star + r) / (den - q)
-    return t_star, f_star
+def _compose_joint(outer, inner):
+    tso, tbo, po, qo, ro, do = outer
+    tsi, tbi, pi, qi, ri, di = inner
+    return (
+        tso * tsi,
+        tso * tbi + tbo * di,
+        po * tsi + qo * pi,
+        qo * qi,
+        po * tbi + qo * ri + ro * di,
+        do * di,
+    )
 
 
 def eval_F_exact(x) -> Fraction:
-    """Exact value of the antiderivative at a rational point in [0, 1]."""
+    """Exact value of the antiderivative at a rational point in [0, 1].
+
+    The t-row of the period composite fixes the tail t*, which must equal the
+    tail's value as ``from_ternary`` sums it; the G-row at t = t* fixes G*.
+    The preperiod composite carries (t*, G*) to (t, 2 F(x)), and t must be x.
+    """
+    x = check_unit_interval(x)
     e = to_ternary(x)
+    tn, gn, den = 0, 0, 1  # the pair (t, G) = (tn, gn)/den
     if e.period:
-        t, v = _close_periodic_tail(e.period)
-        expected_tail = from_ternary(type(e)((), e.period))
-        if t != expected_tail:
+        ts, tb, p, q, r, d = balanced_product(
+            [_JOINT_LEAF[k] for k in e.period], _compose_joint
+        )
+        tail = from_ternary(type(e)((), e.period))
+        if tb * tail.denominator != tail.numerator * (d - ts):
             raise ConsistencyError("joint closure disagrees with the tail value")
-    else:
-        t, v = Fraction(0), Fraction(0)
-    state = DigitStatePair(t, IDENTITY)
-    for d in reversed(e.preperiod):
-        state = F_digit_step(d, state.tail_value, state.F_map)
-    return state.F_map(v)
+        # G* = (p t* + r)/(d - q), over the common denominator of t* and G*
+        den = tail.denominator * (d - q)
+        tn, gn = tail.numerator * (d - q), p * tail.numerator + r * tail.denominator
+    if e.preperiod:
+        ts, tb, p, q, r, d = balanced_product(
+            [_JOINT_LEAF[k] for k in e.preperiod], _compose_joint
+        )
+        tn, gn, den = ts * tn + tb * den, p * tn + q * gn + r * den, d * den
+    if tn * x.denominator != x.numerator * den:
+        raise ConsistencyError("the preperiod walk does not end at x")
+    return Fraction(gn, 2 * den)
 
 
 def integral_symmetric(x) -> Fraction:
@@ -191,8 +154,7 @@ def integral_closed_form(case: str, i: int) -> tuple[Fraction, Fraction]:
     """
     if case not in _F_CASES:
         raise ParameterError(f"case must be one of {_F_CASES}, got {case!r}")
-    if not isinstance(i, int) or i < 1:
-        raise ParameterError(f"index i must be a positive integer, got {i!r}")
+    check_index(i, "index i", 1)
     p3 = 3**i
     lead = Fraction(2 ** (i - 1), 9**i)
     shrink = 1 - Fraction(2, 9) ** i

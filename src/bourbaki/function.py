@@ -31,13 +31,12 @@ from .errors import (
     DomainError,
     ParameterError,
     ParseError,
-    ResourceLimitError,
 )
 from .ternary import (
-    IDENTITY,
     AffineMap,
     ZERO,
-    affine_compose,
+    balanced_product,
+    check_index,
     check_unit_interval,
     digit_stream,
     to_ternary,
@@ -141,16 +140,9 @@ class BreakpointTable:
         return f"BreakpointTable(level={self.level}, {a}, points={len(self)})"
 
 
-def _check_level(i: int, cap: int = MAX_TABLE_LEVEL) -> None:
-    if not isinstance(i, int) or i < 0:
-        raise ParameterError(f"level must be a nonnegative integer, got {i!r}")
-    if i > cap:
-        raise ResourceLimitError(f"level {i} exceeds the supported cap {cap}")
-
-
 def build_iterate(i: int, param: FamilyParam = CLASSICAL) -> BreakpointTable:
     """Breakpoint table of the i-th iterate, starting from f_0(x) = x."""
-    _check_level(i)
+    check_index(i, cap=MAX_TABLE_LEVEL)
     p = param.a.numerator
     q = param.a.denominator
     ynums = [0, 1]
@@ -208,7 +200,7 @@ def ifs_refine(t: BreakpointTable) -> BreakpointTable:
     """
     if t.param is None or not t.param.is_classical:
         raise ParameterError("the iterated function system applies to a = 2/3 only")
-    _check_level(t.level + 1)
+    check_index(t.level + 1, cap=MAX_TABLE_LEVEL)
     pow3 = 3**t.level
     ynums = t.y_numerators
     # New common denominator 3**(level+1); x-index j runs over 0 .. 3**(level+1).
@@ -242,32 +234,16 @@ def digit_step_map(d: int, param: FamilyParam = CLASSICAL) -> AffineMap:
     raise ParameterError(f"base-3 digit must be 0, 1 or 2, got {d!r}")
 
 
-def _closed_tail_value(period: tuple[int, ...], param: FamilyParam) -> Fraction:
-    """Fixed point of the digit maps composed over one period.
+def _digit_triples(param: FamilyParam) -> dict[int, tuple[int, int, int]]:
+    """``digit_step_map`` as integer triples (s, b, q): v -> (s v + b)/q for a = p/q."""
+    p, q = param.a.numerator, param.a.denominator
+    return {0: (p, 0, q), 1: (q - 2 * p, p, q), 2: (p, q - p, q)}
 
-    Same composition as ``compose_chain`` of ``digit_step_map`` but carried
-    out on unreduced integer triples (slope, intercept, common denominator
-    q**k); periods run to thousands of digits, and skipping the per-step gcd
-    of Fraction arithmetic keeps the closure fast.  Reduction happens once,
-    in the final fixed-point division.
-    """
-    p = param.a.numerator
-    q = param.a.denominator
-    leaf = {0: (p, 0, q), 1: (q - 2 * p, p, q), 2: (p, q - p, q)}
-    level = [leaf[d] for d in period]
-    while len(level) > 1:
-        nxt = []
-        for k in range(0, len(level) - 1, 2):
-            so, bo, do = level[k]
-            si, bi, di = level[k + 1]
-            nxt.append((so * si, so * bi + bo * di, do * di))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    s, b, den = level[0]
-    if not -den < s < den:
-        raise ConsistencyError("period map is not a contraction")
-    return Fraction(b, den - s)
+
+def _compose_triples(outer, inner):
+    so, bo, do = outer
+    si, bi, di = inner
+    return (so * si, so * bi + bo * di, do * di)
 
 
 def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
@@ -275,14 +251,23 @@ def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
 
     The digit maps are composed over one full period of the expansion; the
     composite has |slope| <= max(a, 1-a, |2a-1|) ** period_length < 1, so the
-    periodic tail value is its unique fixed point.  The preperiod maps are
-    then applied from the innermost digit outward.
+    periodic tail value is its unique fixed point.  The preperiod composite
+    then carries the tail value to f(x).  Both composites are integer triples
+    (s, b, q**k) built by ``balanced_product``: no gcd until the one final
+    Fraction, which matters for periods thousands of digits long.
     """
     e = to_ternary(x)
-    v = _closed_tail_value(e.period, param) if e.period else ZERO
-    for d in reversed(e.preperiod):
-        v = digit_step_map(d, param)(v)
-    return v
+    leaf = _digit_triples(param)
+    num, den = 0, 1  # the tail value num/den
+    if e.period:
+        s, b, d = balanced_product([leaf[k] for k in e.period], _compose_triples)
+        if not -d < s < d:
+            raise ConsistencyError("period map is not a contraction")
+        num, den = b, d - s
+    if e.preperiod:
+        s, b, d = balanced_product([leaf[k] for k in e.preperiod], _compose_triples)
+        num, den = s * num + b * den, d * den
+    return Fraction(num, den)
 
 
 def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:
@@ -296,8 +281,7 @@ def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:
     with gap at most (2/3)**depth.  Independent of the digit-map evaluator.
     """
     r = check_unit_interval(x)
-    if not isinstance(depth, int) or depth < 0:
-        raise ParameterError(f"depth must be a nonnegative integer, got {depth!r}")
+    check_index(depth, "depth")
     x0, y0 = Fraction(0), Fraction(0)
     x1, y1 = Fraction(1), Fraction(1)
     for _ in range(depth):
@@ -334,13 +318,11 @@ def closed_form_value(case: str, i: int, j: int | None = None) -> tuple[Fraction
     """
     if case not in _CASES:
         raise ParameterError(f"case must be one of {_CASES}, got {case!r}")
-    if not isinstance(i, int) or i < 1:
-        raise ParameterError(f"index i must be a positive integer, got {i!r}")
+    check_index(i, "index i", 1)
     if case in ("v", "vi"):
         if j is None:
             raise ParameterError(f"case {case} requires the second index j")
-        if not isinstance(j, int) or j <= i:
-            raise ParameterError(f"case {case} requires j > i, got j = {j!r}")
+        check_index(j, "index j", i + 1)
     p3, p2 = 3**i, 2**i
     if case == "i":
         return Fraction(1, p3 + 1), Fraction(p2, p3 + p2)
@@ -381,21 +363,23 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
     base-3 digits of r composing digit maps until the envelope (the image of
     [0, 1] under the composite) is no wider than ``tol``.  The true f(r) lies
     inside the returned closed interval; the width shrinks like (2/3)**depth.
+    The composite is an integer triple (s, b, 3**depth), as in ``eval_exact``.
     """
     r = check_unit_interval(parse_decimal(text), "decimal input")
     if isinstance(tol, bool) or not isinstance(tol, (int, Fraction)):
         raise ParameterError(f"tolerance must be an exact rational, got {tol!r}")
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    m = IDENTITY
+    leaf = _digit_triples(CLASSICAL)
+    s, b, den = 1, 0, 1
     digits = digit_stream(r)
-    while not -tol <= m.slope <= tol:
+    while abs(s) * tol.denominator > tol.numerator * den:  # |s/den| > tol
         d = next(digits, None)
         if d is None:
-            v = m(ZERO)  # terminating expansion: the tail is exactly 0
+            v = Fraction(b, den)  # terminating expansion: the tail is exactly 0
             return (v, v)
-        m = affine_compose(m, digit_step_map(d))
-    lo, hi = m(ZERO), m(Fraction(1))
+        s, b, den = _compose_triples((s, b, den), leaf[d])
+    lo, hi = Fraction(b, den), Fraction(s + b, den)
     return (lo, hi) if lo <= hi else (hi, lo)
 
 

@@ -21,15 +21,10 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import (
-    ConsistencyError,
-    DigitError,
-    EmptyInputError,
-    ParameterError,
-    ResourceLimitError,
-)
-from .antiderivative import build_F_iterate
+from .errors import ConsistencyError, DigitError, EmptyInputError
+from .antiderivative import _next_f_ynums, build_F_iterate
 from .function import classical_table
+from .ternary import check_index
 
 MAX_BOX_LEVEL = 10
 MAX_COVER_LEVEL = 10
@@ -39,7 +34,6 @@ MAX_ARC_LEVEL = 12
 _PRECISION = 50
 
 _WEIGHTS = {0: Fraction(2, 5), 1: Fraction(1, 5), 2: Fraction(2, 5)}
-_HEIGHT_FACTORS = {0: Fraction(2, 3), 1: Fraction(1, 3), 2: Fraction(2, 3)}
 
 
 def _context(rounding: str) -> decimal.Context:
@@ -66,10 +60,7 @@ def box_count(i: int) -> BoxCountReport:
     breakpoint values are integer multiples of 3**-i, so the row count per
     column is exactly the integer span hi - lo (in grid units).
     """
-    if not isinstance(i, int) or i < 0:
-        raise ParameterError(f"level must be a nonnegative integer, got {i!r}")
-    if i > MAX_BOX_LEVEL:
-        raise ResourceLimitError(f"box counting capped at level {MAX_BOX_LEVEL}")
+    check_index(i, cap=MAX_BOX_LEVEL)
     ynums = classical_table(i).y_numerators
     count = 0
     for k in range(len(ynums) - 1):
@@ -144,10 +135,7 @@ def cover_level(i: int) -> list[CoverRectangle]:
     Heights shrink by 2/3 for digits 0 and 2 and by 1/3 for digit 1, so a
     rectangle's height is the product of those factors along its digit path.
     """
-    if not isinstance(i, int) or i < 0:
-        raise ParameterError(f"level must be a nonnegative integer, got {i!r}")
-    if i > MAX_COVER_LEVEL:
-        raise ResourceLimitError(f"covers capped at level {MAX_COVER_LEVEL}")
+    check_index(i, cap=MAX_COVER_LEVEL)
     rects = [CoverRectangle((), Fraction(0), Fraction(1), Fraction(0), Fraction(1))]
     for _ in range(i):
         nxt = []
@@ -204,10 +192,7 @@ class MassMeasure:
 
 
 def mass_measure(level: int) -> MassMeasure:
-    if not isinstance(level, int) or level < 0:
-        raise ParameterError(f"level must be a nonnegative integer, got {level!r}")
-    if level > MAX_MASS_LEVEL:
-        raise ResourceLimitError(f"mass tables capped at level {MAX_MASS_LEVEL}")
+    check_index(level, cap=MAX_MASS_LEVEL)
     paths: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
     for _ in range(level):
         paths = {
@@ -225,10 +210,7 @@ def mass_bound_check(i: int) -> bool:
     (and the mass rounded upward), so a pass can never be an artifact of
     rounding; tested margins are far wider than 10**-50.
     """
-    if not isinstance(i, int) or i < 0:
-        raise ParameterError(f"level must be a nonnegative integer, got {i!r}")
-    if i > MAX_MASS_LEVEL:
-        raise ResourceLimitError(f"mass bound checks capped at level {MAX_MASS_LEVEL}")
+    check_index(i, cap=MAX_MASS_LEVEL)
     down = _context(decimal.ROUND_FLOOR)
     up = _context(decimal.ROUND_CEILING)
     # Every rounding pushes the right side down and the mass up, so the
@@ -290,15 +272,15 @@ def arc_length(i: int) -> Decimal:
 
 
 def arc_length_profile(max_level: int) -> Iterator[Decimal]:
-    """Arc lengths for levels 0 .. max_level, reusing each table for the next."""
-    if not isinstance(max_level, int) or max_level < 0:
-        raise ParameterError(f"level must be a nonnegative integer, got {max_level!r}")
-    if max_level > MAX_ARC_LEVEL:
-        raise ResourceLimitError(f"arc length capped at level {MAX_ARC_LEVEL}")
+    """Arc lengths for levels 0 .. max_level, refining each table into the next."""
+    check_index(max_level, cap=MAX_ARC_LEVEL)
 
     def profile() -> Iterator[Decimal]:
         ctx = _context(decimal.ROUND_HALF_EVEN)
+        ynums = build_F_iterate(0).y_numerators
         for level in range(max_level + 1):
-            yield _arc_length_from_ynums(level, build_F_iterate(level).y_numerators, ctx)
+            if level:
+                ynums = _next_f_ynums(level - 1, ynums)
+            yield _arc_length_from_ynums(level, ynums, ctx)
 
     return profile()

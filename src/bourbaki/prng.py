@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParameterError
+from .ternary import check_index
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -38,8 +39,7 @@ class SplitMix64:
 
     def next_below(self, n: int) -> int:
         """Return a uniform integer in [0, n) by rejection sampling."""
-        if not isinstance(n, int) or n <= 0:
-            raise ParameterError(f"bound must be a positive integer, got {n!r}")
+        check_index(n, "bound", 1)
         # Largest multiple of n not exceeding 2**64; words at or above it
         # would bias the residue, so they are discarded.
         limit = (_MASK + 1) - ((_MASK + 1) % n)
@@ -56,20 +56,14 @@ class SplitMix64:
         over-represented after reduction.  That is fine for test-case
         generation, which only needs determinism and coverage.
         """
-        if not isinstance(max_denominator, int) or max_denominator < 1:
-            raise ParameterError(
-                f"max_denominator must be a positive integer, got {max_denominator!r}"
-            )
+        check_index(max_denominator, "max_denominator", 1)
         q = 1 + self.next_below(max_denominator)
         p = self.next_below(q + 1)
         return Fraction(p, q)
 
     def next_ternary_rational(self, max_level: int) -> Fraction:
         """Return a random grid point k/3**i with 1 <= i <= max_level."""
-        if not isinstance(max_level, int) or max_level < 1:
-            raise ParameterError(
-                f"max_level must be a positive integer, got {max_level!r}"
-            )
+        check_index(max_level, "max_level", 1)
         i = 1 + self.next_below(max_level)
         k = self.next_below(3**i + 1)
         return Fraction(k, 3**i)

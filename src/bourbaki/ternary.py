@@ -1,16 +1,16 @@
 """Exact rational arithmetic, canonical base-3 expansions, and affine maps.
 
-Everything downstream is built from the three objects here:
+Everything downstream is built from the objects here, over the stdlib
+``fractions.Fraction``:
 
-* ``BigRational`` -- arbitrary-precision reduced fractions.  The stdlib
-  ``fractions.Fraction`` already provides the exact semantics required
-  (reduced form, positive denominator, exact arithmetic), so it is used
-  directly rather than reimplemented.
 * ``TernaryExpansion`` -- the eventually periodic base-3 expansion of a
   rational in [0, 1], held in a canonical form so each rational has exactly
   one representation.
 * ``AffineMap`` -- maps v -> slope * v + intercept over the rationals, with
   exact composition and fixed points.
+* ``balanced_product`` -- the one product tree that every chain of digit
+  maps is composed with, over ``AffineMap``s here and over unreduced integer
+  tuples in the evaluators.
 
 No floating point is used anywhere in this module.
 """
@@ -19,11 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .errors import DigitError, DomainError, SingularMapError
-
-BigRational = Fraction
+from .errors import (
+    DigitError,
+    DomainError,
+    ParameterError,
+    ResourceLimitError,
+    SingularMapError,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,6 +49,15 @@ def check_unit_interval(x, what: str = "x") -> Fraction:
     if r < 0 or r > 1:
         raise DomainError(f"{what} = {r} lies outside [0, 1]")
     return r
+
+
+def check_index(i, what: str = "level", low: int = 0, cap: int | None = None) -> int:
+    """Require an ``int`` (not ``bool``) i >= low; over ``cap`` is a resource limit."""
+    if type(i) is not int or i < low:
+        raise ParameterError(f"{what} must be an integer >= {low}, got {i!r}")
+    if cap is not None and i > cap:
+        raise ResourceLimitError(f"{what} {i} exceeds the supported cap {cap}")
+    return i
 
 
 def _digits_to_int(digits: Sequence[int]) -> int:
@@ -208,21 +221,27 @@ def affine_compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
                      outer.slope * inner.intercept + outer.intercept)
 
 
-def compose_chain(maps: Sequence[AffineMap]) -> AffineMap:
-    """Compose maps[0] o maps[1] o ... o maps[-1] (identity for an empty chain).
+def balanced_product(items: Sequence, compose: Callable):
+    """items[0] o items[1] o ... o items[-1] for a nonempty sequence.
 
-    Pairwise rounds keep intermediate numerators balanced, which matters when
-    a chain covers a period thousands of digits long.
+    ``compose(outer, inner)`` must be associative.  Pairwise rounds keep the
+    operands of each round of equal size, which matters when a chain covers
+    a period thousands of digits long: over integer leaves the big products
+    are then balanced, as in a product tree, instead of one growing operand
+    times one small leaf per step.
     """
-    if not maps:
-        return IDENTITY
-    level = list(maps)
+    level = list(items)
     while len(level) > 1:
-        nxt = [affine_compose(level[k], level[k + 1]) for k in range(0, len(level) - 1, 2)]
+        nxt = [compose(level[k], level[k + 1]) for k in range(0, len(level) - 1, 2)]
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt
     return level[0]
+
+
+def compose_chain(maps: Sequence[AffineMap]) -> AffineMap:
+    """Compose maps[0] o maps[1] o ... o maps[-1] (identity for an empty chain)."""
+    return balanced_product(maps, affine_compose) if maps else IDENTITY
 
 
 def affine_fixed_point(m: AffineMap) -> Fraction:

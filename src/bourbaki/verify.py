@@ -48,7 +48,7 @@ from .geometry import (
 )
 from .prng import SplitMix64
 from .render import format_rational
-from .ternary import from_ternary, to_ternary
+from .ternary import check_index, from_ternary, to_ternary
 
 _MAX_DENOMINATOR = 10**4
 
@@ -306,8 +306,7 @@ def run_verification(
     if suite not in available_suites():
         names = ", ".join(available_suites())
         raise ParameterError(f"suite must be one of {names}, got {suite!r}")
-    if not isinstance(samples, int) or samples < 1:
-        raise ParameterError(f"samples must be a positive integer, got {samples!r}")
+    check_index(samples, "samples", 1)
     rng = SplitMix64(seed)
     checker = _Checker()
     start = time.perf_counter()

@@ -9,12 +9,12 @@ values at every shared grid point.
 """
 
 from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bourbaki.antiderivative import (
-    F_digit_step,
     build_F_iterate,
     eval_F_exact,
     integral_closed_form,
@@ -23,11 +23,21 @@ from bourbaki.antiderivative import (
 )
 from bourbaki.errors import OrderError, ParameterError, ResourceLimitError
 from bourbaki.function import CLASSICAL, BreakpointTable, build_iterate, eval_exact
-from bourbaki.ternary import IDENTITY, AffineMap
 
 F = Fraction
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=400)
+
+
+def _is_prime(n: int) -> bool:
+    return all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+# p/q with q = 3**v * q', q' a prime in [10**3, 2 * 10**4] and v <= 2: periods
+# of up to 2 * 10**4 digits, with a preperiod of v digits.
+long_period_fractions = st.builds(
+    lambda qp, v: 3**v * qp, st.integers(10**3, 2 * 10**4).filter(_is_prime), st.integers(0, 2)
+).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
 
 
 class TestBuildFIterate:
@@ -79,32 +89,6 @@ class TestBuildFIterate:
             build_F_iterate(14)
 
 
-class TestFDigitStep:
-    def test_digit_zero_from_one(self):
-        state = F_digit_step(0, F(1), IDENTITY)
-        assert state.tail_value == F(1, 3)
-        assert state.F_map(F(1, 2)) == F(1, 9)  # (2/9) F(1)
-
-    def test_digit_one_from_zero(self):
-        state = F_digit_step(1, F(0), IDENTITY)
-        assert state.tail_value == F(1, 3)
-        assert state.F_map(F(0)) == F(1, 9)
-
-    def test_digit_two_from_zero(self):
-        state = F_digit_step(2, F(0), IDENTITY)
-        assert state.tail_value == F(2, 3)
-        assert state.F_map(F(0)) == F(5, 18)
-
-    def test_composes_outside_existing_map(self):
-        inner = AffineMap(F(2, 9), F(1, 18))
-        state = F_digit_step(0, F(1, 4), inner)
-        assert state.F_map(F(1)) == F(2, 9) * inner(F(1))
-
-    def test_digit_validated(self):
-        with pytest.raises(ParameterError):
-            F_digit_step(5, F(0), IDENTITY)
-
-
 class TestEvalFExact:
     @pytest.mark.parametrize(
         "x,value",
@@ -142,19 +126,19 @@ class TestEvalFExact:
         # F is an integral of a nonnegative function
         assert 0 <= eval_F_exact(x) <= F(1, 2)
 
-    @given(unit_fractions, st.integers(min_value=1, max_value=5))
+    @given(unit_fractions | long_period_fractions, st.integers(min_value=1, max_value=5))
     @settings(deadline=None, max_examples=60)
     def test_left_scaling(self, x, i):
         assert eval_F_exact(x / 3**i) == F(2, 9) ** i * eval_F_exact(x)
 
-    @given(unit_fractions, st.integers(min_value=1, max_value=5))
+    @given(unit_fractions | long_period_fractions, st.integers(min_value=1, max_value=5))
     @settings(deadline=None, max_examples=60)
     def test_mirrored_scaling(self, x, i):
         # Digit-1 action combined with the symmetric-interval identity.
         expected = F(2 ** (i - 1), 9**i) * (F(5, 2) - x - eval_F_exact(x))
         assert eval_F_exact((2 - x) / 3**i) == expected
 
-    @given(unit_fractions, st.integers(min_value=1, max_value=5))
+    @given(unit_fractions | long_period_fractions, st.integers(min_value=1, max_value=5))
     @settings(deadline=None, max_examples=60)
     def test_right_scaling(self, x, i):
         expected = F(2 ** (i - 1), 9**i) * x + F(2, 9) ** i * eval_F_exact(x)

@@ -7,6 +7,7 @@ route through 40 construction steps must enclose the same value.
 """
 
 from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,26 @@ F = Fraction
 HALF_PARAM = FamilyParam(F(1, 2))
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=400)
+
+def _is_prime(n: int) -> bool:
+    return all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+# p/q with q = 3**v * q', q' a prime in [10**3, 2 * 10**4] and v <= 2: periods
+# of up to 2 * 10**4 digits, with a preperiod of v digits.
+long_period_fractions = st.builds(
+    lambda qp, v: 3**v * qp, st.integers(10**3, 2 * 10**4).filter(_is_prime), st.integers(0, 2)
+).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
+
+
+def decimals(min_digits: int, max_digits: int):
+    """Decimal literals in [0, 1] with min_digits .. max_digits fraction digits."""
+    return st.integers(min_digits, max_digits).flatmap(
+        lambda n: st.integers(0, 10**n).map(lambda k: f"{k // 10**n}.{k % 10**n:0{n}d}")
+    )
+
+
+tolerances = st.integers(1, 15).map(lambda k: F(1, 10**k))
 params = st.fractions(min_value=0, max_value=1, max_denominator=30).filter(
     lambda a: 0 < a < 1
 ).map(FamilyParam)
@@ -253,7 +274,7 @@ class TestEvalExact:
         for k in range(3**i + 1):
             assert t.y_at(k) == eval_exact(F(k, 3**i))
 
-    @given(unit_fractions, params)
+    @given(unit_fractions | long_period_fractions, params)
     @settings(deadline=None, max_examples=60)
     def test_matches_map_composition_route(self, x, param):
         # Reference route: public affine machinery end to end.
@@ -360,6 +381,25 @@ class TestApproxEval:
     def test_tolerance_must_be_exact(self, tol):
         with pytest.raises(ParameterError):
             approx_eval("0.5", tol)
+
+    @given(decimals(1, 6), tolerances)
+    @settings(deadline=None, max_examples=60)
+    def test_encloses_exact_value(self, text, tol):
+        # Up to 6 digits the period of the reduced point is at most 50,000
+        # digits, so the exact value is the oracle.
+        lo, hi = approx_eval(text, tol)
+        assert lo <= eval_exact(parse_decimal(text)) <= hi
+        assert hi - lo <= tol
+
+    @given(decimals(7, 12), tolerances)
+    @settings(deadline=None, max_examples=60)
+    def test_encloses_deep_bracket(self, text, tol):
+        # A 12-digit point can have a period of 5 * 10**10 digits; here the
+        # oracle is a 200-step bracket of f, at most (2/3)**200 < 10**-35 wide.
+        lo, hi = approx_eval(text, tol)
+        blo, bhi = bracket_value(parse_decimal(text), 200)
+        assert lo <= bhi and blo <= hi
+        assert hi - lo <= tol
 
 
 class TestParseDecimal:
