@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConsistencyError, OrderError, ParameterError
-from .function import MAX_TABLE_LEVEL, BreakpointTable
+from .function import MAX_CLOSED_FORM_INDEX, MAX_TABLE_LEVEL, BreakpointTable
 from .ternary import (
     balanced_product,
     check_index,
@@ -151,10 +151,12 @@ def integral_closed_form(case: str, i: int) -> tuple[Fraction, Fraction]:
     ii    1/(3**i - 1)    (2**(i-1)/9**i) * (3**i + 1)/(3**i - 1) / (1 + 2**(i-1)/9**i)
     iii   2/(3**i + 1)    (2**(i-1)/9**i) * (5*3**i + 1)/(2*3**i + 2) / (1 + 2**(i-1)/9**i)
     iv    2/(3**i - 1)    (2**(i-1)/9**i) * (5*3**i - 1)/(2*3**i - 2) / (1 - (2/9)**i)
+
+    Indices above MAX_CLOSED_FORM_INDEX raise ``ResourceLimitError``.
     """
     if case not in _F_CASES:
         raise ParameterError(f"case must be one of {_F_CASES}, got {case!r}")
-    check_index(i, "index i", 1)
+    check_index(i, "index i", 1, MAX_CLOSED_FORM_INDEX)
     p3 = 3**i
     lead = Fraction(2 ** (i - 1), 9**i)
     shrink = 1 - Fraction(2, 9) ** i

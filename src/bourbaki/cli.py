@@ -33,7 +33,7 @@ from .render import (
     format_value,
     svg_polyline,
 )
-from .verify import run_verification
+from .verify import available_suites, run_verification
 
 _RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
@@ -103,8 +103,6 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_boxdim(args) -> int:
-    if args.max_level < 1:
-        raise ParameterError("--max-level must be at least 1 for a dimension estimate")
     reports = [box_count(i) for i in range(args.max_level + 1)]
     estimate = decimal_12(dimension_estimate(reports))
     if args.format == "table":
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity verification suites")
     p.add_argument(
         "--suite",
-        choices=["all", "symmetry", "scaling", "integrals", "geometry", "family"],
+        choices=available_suites(),
         default="all",
     )
     p.add_argument("--cases", metavar="N", type=int, default=200)

@@ -38,7 +38,7 @@ class SingularMapError(BourbakiError, ZeroDivisionError):
 
 
 class ResourceLimitError(BourbakiError):
-    """A refinement level beyond the supported table size."""
+    """An index or count beyond its documented cap."""
 
 
 class ConsistencyError(BourbakiError, RuntimeError):

@@ -28,7 +28,6 @@ import re
 
 from .errors import (
     ConsistencyError,
-    DomainError,
     ParameterError,
     ParseError,
 )
@@ -43,6 +42,7 @@ from .ternary import (
 )
 
 MAX_TABLE_LEVEL = 13
+MAX_CLOSED_FORM_INDEX = 1000
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,7 @@ class FamilyParam:
 CLASSICAL = FamilyParam(Fraction(2, 3))
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """A point of the unit square, exact coordinates."""
-
-    x: Fraction
-    y: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", check_unit_interval(self.x, "x"))
-        object.__setattr__(self, "y", check_unit_interval(self.y, "y"))
-
-
+@dataclass(frozen=True, slots=True, repr=False)
 class BreakpointTable:
     """Breakpoints (k/3**level, y_k) of one piecewise-linear construction table.
 
@@ -90,50 +79,26 @@ class BreakpointTable:
     q**i for a = p/q, 2 * 9**i for the antiderivative), so deep tables stay
     compact and renderers can work on small integers.  ``param`` is the
     family parameter of an f table and None for an F table, so tables of the
-    two kinds never compare equal.
+    two kinds never compare equal.  ``y_numerators`` is shared: do not mutate.
     """
 
-    __slots__ = ("level", "param", "_ynums", "_yden")
-
-    def __init__(
-        self, level: int, ynums: list[int], yden: int, param: FamilyParam | None = None
-    ):
-        self.level = level
-        self.param = param
-        self._ynums = ynums
-        self._yden = yden
+    level: int
+    y_numerators: list[int]
+    y_denominator: int
+    param: FamilyParam | None = None
 
     def __len__(self) -> int:
-        return len(self._ynums)
+        return len(self.y_numerators)
 
     def y_at(self, k: int) -> Fraction:
         """Exact value at breakpoint x = k/3**level."""
-        return Fraction(self._ynums[k], self._yden)
-
-    @property
-    def y_numerators(self) -> list[int]:
-        """Integer y-numerators over ``y_denominator`` (shared, do not mutate)."""
-        return self._ynums
-
-    @property
-    def y_denominator(self) -> int:
-        return self._yden
+        return Fraction(self.y_numerators[k], self.y_denominator)
 
     @property
     def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Exact (x, y) pairs, built on every access; renderers do not use it."""
-        xd, yd = 3**self.level, self._yden
-        return tuple((Fraction(k, xd), Fraction(n, yd)) for k, n in enumerate(self._ynums))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BreakpointTable):
-            return NotImplemented
-        return (
-            self.level == other.level
-            and self.param == other.param
-            and self._yden == other._yden
-            and self._ynums == other._ynums
-        )
+        xd, yd = 3**self.level, self.y_denominator
+        return tuple((Fraction(k, xd), Fraction(n, yd)) for k, n in enumerate(self.y_numerators))
 
     def __repr__(self) -> str:
         a = "F" if self.param is None else f"a={self.param.a}"
@@ -174,26 +139,11 @@ def eval_iterate(t: BreakpointTable, x) -> Fraction:
     return y0 + (scaled - k) * (y1 - y0)
 
 
-def ifs_map_point(n: int, pt: PlanePoint) -> PlanePoint:
-    """Apply one of the three plane maps whose attractor is the classical graph.
-
-    w1 (x, y) = (x/3, 2y/3)
-    w2 (x, y) = ((2 - x)/3, (1 + y)/3)   (reverses x-orientation)
-    w3 (x, y) = ((2 + x)/3, (1 + 2y)/3)
-    """
-    x, y = pt.x, pt.y
-    if n == 1:
-        return PlanePoint(x / 3, 2 * y / 3)
-    if n == 2:
-        return PlanePoint((2 - x) / 3, (1 + y) / 3)
-    if n == 3:
-        return PlanePoint((2 + x) / 3, (1 + 2 * y) / 3)
-    raise ParameterError(f"map index must be 1, 2 or 3, got {n!r}")
-
-
 def ifs_refine(t: BreakpointTable) -> BreakpointTable:
     """Next classical iterate as the union of the three map images of ``t``.
 
+    The classical graph is the attractor of the plane maps w1 (x, y) = (x/3, 2y/3),
+    w2 (x, y) = ((2 - x)/3, (1 + y)/3) and w3 (x, y) = ((2 + x)/3, (1 + 2y)/3).
     The w2 image is re-ordered (that map reverses x) and the shared corner
     points of adjacent images are deduplicated after an exact equality check.
     Must agree exactly with ``build_iterate(t.level + 1)``.
@@ -314,15 +264,16 @@ def closed_form_value(case: str, i: int, j: int | None = None) -> tuple[Fraction
     v     1/(3**j + 3**i)    (2/3)**i * 2**(j-i) / (3**(j-i) + 2**(j-i))
     vi    1/(3**j - 3**i)    (2/3)**i * 2**(j-i) / (3**(j-i) + 2**(j-i-1))
 
-    Cases v and vi require j > i >= 1.
+    Cases v and vi require j > i >= 1.  Indices above MAX_CLOSED_FORM_INDEX
+    raise ``ResourceLimitError``.
     """
     if case not in _CASES:
         raise ParameterError(f"case must be one of {_CASES}, got {case!r}")
-    check_index(i, "index i", 1)
+    check_index(i, "index i", 1, MAX_CLOSED_FORM_INDEX)
     if case in ("v", "vi"):
         if j is None:
             raise ParameterError(f"case {case} requires the second index j")
-        check_index(j, "index j", i + 1)
+        check_index(j, "index j", i + 1, MAX_CLOSED_FORM_INDEX)
     p3, p2 = 3**i, 2**i
     if case == "i":
         return Fraction(1, p3 + 1), Fraction(p2, p3 + p2)

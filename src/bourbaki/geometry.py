@@ -33,15 +33,12 @@ MAX_ARC_LEVEL = 12
 
 _PRECISION = 50
 
-_WEIGHTS = {0: Fraction(2, 5), 1: Fraction(1, 5), 2: Fraction(2, 5)}
+# Mass weights 2/5, 1/5, 2/5 of digits 0, 1, 2, as numerators over 5.
+_MASS_NUMERATORS = (2, 1, 2)
 
 
 def _context(rounding: str) -> decimal.Context:
     return decimal.Context(prec=_PRECISION, rounding=rounding)
-
-
-def _to_decimal(x: Fraction, ctx: decimal.Context) -> Decimal:
-    return ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
 
 
 @dataclass(frozen=True)
@@ -126,58 +123,50 @@ def _check_digits(digits) -> tuple[int, ...]:
 def cover_level(i: int) -> list[CoverRectangle]:
     """The 3**i rectangles covering the graph at depth i, in digit-path order.
 
-    Children of [x0, x1] x [y0, y1] under the three plane maps:
+    Paths come in ``itertools.product(range(3), repeat=i)`` order.  The walk
+    keeps each rectangle as integers (path, x0, y0, y1) over p = 3**level,
+    with width 1/p; its children under the three plane maps, over 3p, are
 
-        digit 0: [x0/3, x1/3]             x [2 y0/3, 2 y1/3]
-        digit 1: [(2 - x1)/3, (2 - x0)/3] x [(1 + y0)/3, (1 + y1)/3]
-        digit 2: [(2 + x0)/3, (2 + x1)/3] x [(1 + 2 y0)/3, (1 + 2 y1)/3]
+        digit 0: (x0, 2 y0, 2 y1)
+        digit 1: (2p - 1 - x0, p + y0, p + y1)
+        digit 2: (2p + x0, p + 2 y0, p + 2 y1)
 
     Heights shrink by 2/3 for digits 0 and 2 and by 1/3 for digit 1, so a
     rectangle's height is the product of those factors along its digit path.
+    Fractions are built only for the depth-i rectangles.
     """
     check_index(i, cap=MAX_COVER_LEVEL)
-    rects = [CoverRectangle((), Fraction(0), Fraction(1), Fraction(0), Fraction(1))]
+    nodes = [((), 0, 0, 1)]
+    p = 1
     for _ in range(i):
-        nxt = []
-        for r in rects:
-            x0, x1, y0, y1 = r.x_lo, r.x_hi, r.y_lo, r.y_hi
-            nxt.append(
-                CoverRectangle(r.digits + (0,), x0 / 3, x1 / 3, 2 * y0 / 3, 2 * y1 / 3)
+        nodes = [
+            child
+            for path, x, lo, hi in nodes
+            for child in (
+                (path + (0,), x, 2 * lo, 2 * hi),
+                (path + (1,), 2 * p - 1 - x, p + lo, p + hi),
+                (path + (2,), 2 * p + x, p + 2 * lo, p + 2 * hi),
             )
-            nxt.append(
-                CoverRectangle(
-                    r.digits + (1,),
-                    (2 - x1) / 3,
-                    (2 - x0) / 3,
-                    (1 + y0) / 3,
-                    (1 + y1) / 3,
-                )
-            )
-            nxt.append(
-                CoverRectangle(
-                    r.digits + (2,),
-                    (2 + x0) / 3,
-                    (2 + x1) / 3,
-                    (1 + 2 * y0) / 3,
-                    (1 + 2 * y1) / 3,
-                )
-            )
-        rects = nxt
-    return rects
+        ]
+        p *= 3
+    return [
+        CoverRectangle(
+            path, Fraction(x, p), Fraction(x + 1, p), Fraction(lo, p), Fraction(hi, p)
+        )
+        for path, x, lo, hi in nodes
+    ]
 
 
 def interval_mass(digits) -> Fraction:
     """Mass of the cover rectangle addressed by a digit path.
 
     The self-similar measure splits mass 2/5, 1/5, 2/5 across digits 0, 1, 2,
-    so a path's mass is the product of its digit weights (1 for the empty
-    path: the whole graph).
+    so a path of length n with m digit-1 steps has mass 2**(n - m) / 5**n
+    (1 for the empty path: the whole graph).
     """
     ds = _check_digits(digits)
-    mass = Fraction(1)
-    for d in ds:
-        mass *= _WEIGHTS[d]
-    return mass
+    n = len(ds)
+    return Fraction(2 ** (n - ds.count(1)), 5**n)
 
 
 @dataclass(frozen=True)
@@ -192,13 +181,15 @@ class MassMeasure:
 
 
 def mass_measure(level: int) -> MassMeasure:
+    """Masses of all digit paths at one level: integer numerators over 5**level."""
     check_index(level, cap=MAX_MASS_LEVEL)
-    paths: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    paths: dict[tuple[int, ...], int] = {(): 1}
     for _ in range(level):
         paths = {
-            path + (d,): m * _WEIGHTS[d] for path, m in paths.items() for d in (0, 1, 2)
+            path + (d,): m * w for path, m in paths.items() for d, w in enumerate(_MASS_NUMERATORS)
         }
-    return MassMeasure(level, paths)
+    den = 5**level
+    return MassMeasure(level, {path: Fraction(m, den) for path, m in paths.items()})
 
 
 def mass_bound_check(i: int) -> bool:
@@ -218,18 +209,17 @@ def mass_bound_check(i: int) -> bool:
     # s * ln(diam) is negative, so its lower bound needs s rounded *up* and
     # ln(diam) (via diam) rounded down.
     s_up = up.divide(up.ln(Decimal(5)), down.ln(Decimal(3)))
-    width = Fraction(1, 3**i)
     for ones in range(i + 1):
-        mass = Fraction(2, 5) ** (i - ones) * Fraction(1, 5) ** ones
-        height = Fraction(2, 3) ** (i - ones) * Fraction(1, 3) ** ones
-        diam_sq = width * width + height * height
-        if diam_sq >= 1:
+        # mass = 2**(i-ones) / 5**i; width 3**-i and height 2**(i-ones) / 3**i
+        # give diam**2 = (1 + 4**(i-ones)) / 9**i.
+        diam_sq_num, diam_sq_den = 1 + 4 ** (i - ones), 9**i
+        if diam_sq_num >= diam_sq_den:
             continue  # diam >= 1 makes the bound at least 5 >= any mass
-        diam_down = down.sqrt(_to_decimal(diam_sq, down))
+        diam_down = down.sqrt(down.divide(Decimal(diam_sq_num), Decimal(diam_sq_den)))
         ln_down = down.ln(diam_down)  # negative
         power_down = down.exp(down.multiply(s_up, ln_down))
         rhs_down = down.multiply(Decimal(5), power_down)
-        mass_up = _to_decimal(mass, up)
+        mass_up = up.divide(Decimal(2 ** (i - ones)), Decimal(5**i))
         if not mass_up <= rhs_down:
             return False
     return True

@@ -51,6 +51,7 @@ from .render import format_rational
 from .ternary import check_index, from_ternary, to_ternary
 
 _MAX_DENOMINATOR = 10**4
+MAX_SAMPLES = 10_000
 
 
 @dataclass
@@ -301,12 +302,13 @@ def run_verification(
     samples controls how many random cases each suite draws; fixed
     deterministic checks run regardless.  The whole run consumes a single
     generator seeded once, so the stream of cases is a pure function of
-    (suite, seed, samples).
+    (suite, seed, samples).  samples above MAX_SAMPLES raise
+    ``ResourceLimitError``.
     """
     if suite not in available_suites():
         names = ", ".join(available_suites())
         raise ParameterError(f"suite must be one of {names}, got {suite!r}")
-    check_index(samples, "samples", 1)
+    check_index(samples, "samples", 1, MAX_SAMPLES)
     rng = SplitMix64(seed)
     checker = _Checker()
     start = time.perf_counter()

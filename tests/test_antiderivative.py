@@ -71,6 +71,8 @@ class TestBuildFIterate:
         bare = BreakpointTable(i, F_table.y_numerators, F_table.y_denominator)
         assert bare == F_table
         assert BreakpointTable(i, F_table.y_numerators, F_table.y_denominator, CLASSICAL) != F_table
+        with pytest.raises(TypeError):
+            hash(F_table)
 
     @pytest.mark.parametrize("i", [0, 1, 3])
     def test_y_at_matches_breakpoints(self, i):

@@ -21,7 +21,6 @@ from bourbaki.errors import (
 from bourbaki.function import (
     CLASSICAL,
     FamilyParam,
-    PlanePoint,
     approx_eval,
     bracket_value,
     build_iterate,
@@ -29,7 +28,6 @@ from bourbaki.function import (
     digit_step_map,
     eval_exact,
     eval_iterate,
-    ifs_map_point,
     ifs_refine,
     parse_decimal,
 )
@@ -140,21 +138,6 @@ class TestEvalIterate:
 
 
 class TestIFS:
-    def test_map_examples(self):
-        corner = PlanePoint(F(1), F(1))
-        assert ifs_map_point(1, corner) == PlanePoint(F(1, 3), F(2, 3))
-        assert ifs_map_point(2, corner) == PlanePoint(F(1, 3), F(2, 3))
-        assert ifs_map_point(3, corner) == PlanePoint(F(1), F(1))
-        assert ifs_map_point(1, PlanePoint(F(0), F(0))) == PlanePoint(F(0), F(0))
-
-    def test_map_index_validated(self):
-        with pytest.raises(ParameterError):
-            ifs_map_point(4, PlanePoint(F(0), F(0)))
-
-    def test_plane_point_validated(self):
-        with pytest.raises(DomainError):
-            PlanePoint(F(2), F(0))
-
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_refine_matches_build(self, i):
         assert ifs_refine(build_iterate(i)) == build_iterate(i + 1)
@@ -166,18 +149,6 @@ class TestIFS:
     def test_refine_rejects_family_tables(self):
         with pytest.raises(ParameterError):
             ifs_refine(build_iterate(1, HALF_PARAM))
-
-    def test_graph_points_are_ifs_images(self):
-        # Each breakpoint of the refined table is the image of a coarse
-        # breakpoint under one of the three maps.
-        t = build_iterate(2)
-        images = {
-            (pt.x, pt.y)
-            for n in (1, 2, 3)
-            for bx, by in build_iterate(1).breakpoints
-            for pt in [ifs_map_point(n, PlanePoint(bx, by))]
-        }
-        assert set(t.breakpoints) == images
 
 
 class TestDigitStepMap:

@@ -8,6 +8,7 @@ summation path.
 """
 
 import decimal
+import itertools
 from decimal import Decimal
 from fractions import Fraction
 
@@ -100,6 +101,11 @@ class TestCoverLevel:
         assert rects[(1,)] == CoverRectangle((1,), F(1, 3), F(2, 3), F(1, 3), F(2, 3))
         assert rects[(2,)] == CoverRectangle((2,), F(2, 3), F(1), F(1, 3), F(1))
 
+    @pytest.mark.parametrize("i", [0, 1, 2, 3, 4])
+    def test_digit_path_order(self, i):
+        paths = list(itertools.product(range(3), repeat=i))
+        assert [r.digits for r in cover_level(i)] == paths
+
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4, 5])
     def test_total_area(self, i):
         assert sum(r.area for r in cover_level(i)) == F(5, 9) ** i
@@ -151,9 +157,16 @@ class TestIntervalMass:
         assert mass_measure(i).total() == 1
 
     def test_measure_matches_products(self):
-        m = mass_measure(3)
-        for path, w in m.weights.items():
-            assert w == interval_mass(path)
+        for i in range(7):
+            m = mass_measure(i)
+            assert m.level == i and len(m.weights) == 3**i
+            for path, w in m.weights.items():
+                assert w == interval_mass(path)
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 3, 4])
+    def test_digit_path_order(self, i):
+        paths = list(itertools.product(range(3), repeat=i))
+        assert list(mass_measure(i).weights) == paths
 
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):

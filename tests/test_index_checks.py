@@ -43,11 +43,15 @@ INDEXED = {
 CAPPED = {
     "build_iterate": (build_iterate, 14),
     "build_F_iterate": (build_F_iterate, 14),
+    "closed_form_value_i": (lambda i: closed_form_value("i", i), 1001),
+    "closed_form_value_j": (lambda j: closed_form_value("v", 1, j), 1001),
+    "integral_closed_form": (lambda i: integral_closed_form("i", i), 1001),
     "box_count": (box_count, 11),
     "cover_level": (cover_level, 11),
     "mass_measure": (mass_measure, 9),
     "mass_bound_check": (mass_bound_check, 9),
     "arc_length_profile": (arc_length_profile, 13),
+    "run_verification": (lambda n: run_verification("symmetry", 1, n), 10001),
 }
 
 
