@@ -36,7 +36,9 @@ one denominator 2 * 9**i, with ``param`` None.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import ConsistencyError, OrderError, ParameterError
 from .function import MAX_CLOSED_FORM_INDEX, MAX_TABLE_LEVEL, BreakpointTable
@@ -44,36 +46,40 @@ from .ternary import (
     balanced_product,
     check_index,
     check_unit_interval,
-    from_ternary,
     to_ternary,
 )
 
 F_HALF = Fraction(1, 2)
 
 
-def _next_f_ynums(level: int, ynums: list[int]) -> list[int]:
-    """Numerators of level ``level + 1`` from level ``level`` (den 2 * 9**i).
+def iter_F_iterates(max_level: int) -> Iterator[BreakpointTable]:
+    """Breakpoint tables of F at levels 0 .. max_level, each refined from the last.
 
-    Integer forms of the three digit images; the overlapping junction values
-    must agree exactly, which is asserted rather than assumed.
+    Integer forms of the three digit images above tile level i + 1 from level
+    i; the junction values must agree exactly, which is asserted, not assumed.
     """
-    pow9 = 9**level
-    pow3 = 3**level
-    left = [2 * n for n in ynums]
-    middle = [2 * pow9 + 4 * k * pow3 - n for k, n in enumerate(ynums)]
-    right = [5 * pow9 + 2 * k * pow3 + 2 * n for k, n in enumerate(ynums)]
-    if left[-1] != middle[0] or middle[-1] != right[0]:
-        raise ConsistencyError("digit images disagree at the third boundaries")
-    return left + middle[1:] + right[1:]
+    check_index(max_level, cap=MAX_TABLE_LEVEL)
+
+    def tables() -> Iterator[BreakpointTable]:
+        ynums, pow3 = [0, 1], 1  # F(0) = 0, F(1) = 1/2 over denominator 2
+        for level in range(max_level + 1):
+            if level:
+                pow9 = pow3 * pow3
+                left = [2 * n for n in ynums]
+                middle = [2 * pow9 + 4 * k * pow3 - n for k, n in enumerate(ynums)]
+                right = [5 * pow9 + 2 * k * pow3 + 2 * n for k, n in enumerate(ynums)]
+                if left[-1] != middle[0] or middle[-1] != right[0]:
+                    raise ConsistencyError("digit images disagree at the third boundaries")
+                ynums = left + middle[1:] + right[1:]
+                pow3 *= 3
+            yield BreakpointTable(level, ynums, 2 * pow3 * pow3)
+
+    return tables()
 
 
 def build_F_iterate(i: int) -> BreakpointTable:
     """Breakpoint table of F at level i, numerators over 2 * 9**i."""
-    check_index(i, cap=MAX_TABLE_LEVEL)
-    ynums = [0, 1]  # F(0) = 0, F(1) = 1/2 over denominator 2
-    for lvl in range(i):
-        ynums = _next_f_ynums(lvl, ynums)
-    return BreakpointTable(i, ynums, 2 * 9**i)
+    return deque(iter_F_iterates(i), maxlen=1)[0]
 
 
 # Joint digit maps as integer 6-tuples (ts, tb, p, q, r, den):
@@ -97,9 +103,11 @@ def _compose_joint(outer, inner):
 def eval_F_exact(x) -> Fraction:
     """Exact value of the antiderivative at a rational point in [0, 1].
 
-    The t-row of the period composite fixes the tail t*, which must equal the
-    tail's value as ``from_ternary`` sums it; the G-row at t = t* fixes G*.
-    The preperiod composite carries (t*, G*) to (t, 2 F(x)), and t must be x.
+    With m preperiod digits read as the base-3 integer P, the periodic tail
+    is t* = 3**m x - P: for x = a/q that is a/q' mod 1 (1 for x = 1), with q'
+    the 3-free part of q.  The t-row of the period composite must fix t*; the
+    G-row at t = t* fixes G*.  The preperiod composite carries (t*, G*) to
+    (t, 2 F(x)), and t must be x.
     """
     x = check_unit_interval(x)
     e = to_ternary(x)
@@ -108,12 +116,13 @@ def eval_F_exact(x) -> Fraction:
         ts, tb, p, q, r, d = balanced_product(
             [_JOINT_LEAF[k] for k in e.period], _compose_joint
         )
-        tail = from_ternary(type(e)((), e.period))
-        if tb * tail.denominator != tail.numerator * (d - ts):
+        q_free = x.denominator // 3 ** len(e.preperiod)
+        t_num = x.numerator % q_free or q_free  # t* = t_num / q_free
+        if tb * q_free != t_num * (d - ts):
             raise ConsistencyError("joint closure disagrees with the tail value")
         # G* = (p t* + r)/(d - q), over the common denominator of t* and G*
-        den = tail.denominator * (d - q)
-        tn, gn = tail.numerator * (d - q), p * tail.numerator + r * tail.denominator
+        den = q_free * (d - q)
+        tn, gn = t_num * (d - q), p * t_num + r * q_free
     if e.preperiod:
         ts, tb, p, q, r, d = balanced_product(
             [_JOINT_LEAF[k] for k in e.preperiod], _compose_joint

@@ -43,11 +43,10 @@ def _parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ParseError(f"expected a rational like p/q, got {text!r}")
-    p = int(m.group(1))
-    q = int(m.group(2)) if m.group(2) is not None else 1
+    p, q = parse_decimal(m.group(1)), parse_decimal(m.group(2) or "1")
     if q == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(p, q)
+    return p / q
 
 
 def _family(a_text: str | None) -> FamilyParam:

@@ -54,11 +54,7 @@ class FamilyParam:
     def __post_init__(self) -> None:
         a = self.a
         if not isinstance(a, Fraction):
-            if isinstance(a, int):
-                a = Fraction(a)
-                object.__setattr__(self, "a", a)
-            else:
-                raise ParameterError("family parameter must be an exact rational")
+            raise ParameterError(f"family parameter must be a Fraction, got {type(a).__name__}")
         if not 0 < a < 1:
             raise ParameterError(f"family parameter a = {a} must satisfy 0 < a < 1")
 
@@ -304,7 +300,11 @@ def parse_decimal(text: str) -> Fraction:
     if bare is not None:
         whole, frac_part = "0", bare
     frac_part = frac_part or ""
-    return Fraction(int(whole + frac_part), 10 ** len(frac_part))
+    try:
+        digits = int(whole + frac_part)
+    except ValueError:  # past Python's limit on str-to-int digits
+        raise ParseError(f"too many digits to parse: {len(whole + frac_part)}") from None
+    return Fraction(digits, 10 ** len(frac_part))
 
 
 def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:

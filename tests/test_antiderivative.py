@@ -14,14 +14,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bourbaki import antiderivative
 from bourbaki.antiderivative import (
     build_F_iterate,
     eval_F_exact,
     integral_closed_form,
     integral_symmetric,
+    iter_F_iterates,
     range_integral,
 )
-from bourbaki.errors import OrderError, ParameterError, ResourceLimitError
+from bourbaki.errors import ConsistencyError, OrderError, ParameterError, ResourceLimitError
 from bourbaki.function import CLASSICAL, BreakpointTable, build_iterate, eval_exact
 
 F = Fraction
@@ -54,6 +56,18 @@ class TestBuildFIterate:
 
     def test_level_two_value_at_one_ninth(self):
         assert build_F_iterate(2).y_at(1) == F(2, 81)
+
+    def test_iterates_yield_every_level(self):
+        tables = list(iter_F_iterates(6))
+        assert [t.level for t in tables] == list(range(7))
+        assert tables == [build_F_iterate(i) for i in range(7)]
+        assert [t.y_denominator for t in tables] == [2 * 9**i for i in range(7)]
+
+    def test_iterates_check_the_level_when_called(self):
+        with pytest.raises(ResourceLimitError):
+            iter_F_iterates(14)
+        with pytest.raises(ParameterError):
+            iter_F_iterates(-1)
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4, 5])
     def test_refinement_keeps_old_breakpoints(self, i):
@@ -145,6 +159,19 @@ class TestEvalFExact:
     def test_right_scaling(self, x, i):
         expected = F(2 ** (i - 1), 9**i) * x + F(2, 9) ** i * eval_F_exact(x)
         assert eval_F_exact((2 + x) / 3**i) - eval_F_exact(F(2, 3**i)) == expected
+
+    @pytest.mark.parametrize(
+        "x,message",
+        [
+            (F(1, 7), "joint closure disagrees with the tail value"),  # period 010212
+            (F(1, 3), "the preperiod walk does not end at x"),  # terminating: 0.1
+        ],
+    )
+    def test_corrupted_t_row_is_caught(self, monkeypatch, x, message):
+        # Digit 1's t-row is t' = (3 t + 3)/9; shift its intercept.
+        monkeypatch.setitem(antiderivative._JOINT_LEAF, 1, (3, 4, 4, -1, 2, 9))
+        with pytest.raises(ConsistencyError, match=message):
+            eval_F_exact(x)
 
 
 class TestIntegralSymmetric:

@@ -213,6 +213,24 @@ class TestGeometryCommands:
         assert run(["arclength", "--max-level", "1"]) == 0
         assert capsys.readouterr().out == "0 1.11803398875\n1 1.12465898910\n"
 
+    def test_arclength_deepest_lines(self, capsys):
+        assert run(["arclength", "--max-level", "12"]) == 0
+        assert capsys.readouterr().out == (
+            "0 1.11803398875\n"
+            "1 1.12465898910\n"
+            "2 1.12686502839\n"
+            "3 1.12759916236\n"
+            "4 1.12784367676\n"
+            "5 1.12792515330\n"
+            "6 1.12795230822\n"
+            "7 1.12796135933\n"
+            "8 1.12796437629\n"
+            "9 1.12796538193\n"
+            "10 1.12796571715\n"
+            "11 1.12796582888\n"
+            "12 1.12796586613\n"
+        )
+
     def test_measure_golden(self, capsys):
         assert run(["measure", "--digits", "00"]) == 0
         assert capsys.readouterr().out == "4/25 (0.160000000000)\n"
@@ -290,6 +308,11 @@ class TestExitCodes:
             ["approx-f", "0.5", "--tol", "\uff10.\uff11"],
             ["measure", "--digits", "0a"],
             ["measure", "--digits", "\u0661"],
+            ["eval-f", "1/" + "7" * 5000],
+            ["eval-F", "1/" + "7" * 5000],
+            ["eval-f", "1/3", "--a", "1/" + "7" * 5000],
+            ["approx-f", "0.5", "--tol", "0." + "0" * 5000 + "1"],
+            ["approx-f", "0." + "3" * 5000, "--tol", "0.1"],
         ],
     )
     def test_invalid_input_exits_1(self, capsys, argv):

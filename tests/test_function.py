@@ -72,6 +72,11 @@ class TestFamilyParam:
         with pytest.raises(ParameterError):
             FamilyParam(a)
 
+    @pytest.mark.parametrize("a", [0, 1, -1, 2, True, 0.5])
+    def test_rejects_non_fractions(self, a):
+        with pytest.raises(ParameterError):
+            FamilyParam(a)
+
 
 class TestBuildIterate:
     def test_level_zero_is_identity_segment(self):
@@ -385,3 +390,8 @@ class TestParseDecimal:
     def test_rejects_non_ascii_digits(self, text):
         with pytest.raises(ParseError):
             parse_decimal(text)
+
+    def test_rejects_past_the_int_conversion_limit(self):
+        # Python refuses str-to-int conversions of more than 4,300 digits.
+        with pytest.raises(ParseError):
+            parse_decimal("0." + "0" * 5000 + "1")

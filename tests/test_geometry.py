@@ -202,6 +202,20 @@ class TestArcLength:
     def test_level_two_value(self):
         assert abs(arc_length(2) - Decimal("1.1269")) < Decimal("5e-4")
 
+    @staticmethod
+    def _ceiling_sum(i):
+        """Upper bound on the level-i polyline length: every rounding up, 100 digits."""
+        up = decimal.Context(prec=100, rounding=decimal.ROUND_CEILING)
+        total = Decimal(0)
+        for s in iter_segment_squares(i):
+            root = up.sqrt(Decimal(s.numerator * s.denominator))  # sqrt(s) * den
+            total = up.add(total, up.divide(root, Decimal(s.denominator)))
+        return total
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_within_1e48_of_ceiling_sum(self, i):
+        assert abs(self._ceiling_sum(i) - arc_length(i)) < Decimal("1e-48")
+
     def test_profile_strictly_increasing_and_bounded(self):
         lengths = list(arc_length_profile(8))
         lower = CTX.divide(CTX.sqrt(Decimal(5)), Decimal(2))
