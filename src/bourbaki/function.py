@@ -43,6 +43,7 @@ from .ternary import (
 
 MAX_TABLE_LEVEL = 13
 MAX_CLOSED_FORM_INDEX = 1000
+MAX_BRACKET_DEPTH = 1000
 
 
 @dataclass(frozen=True)
@@ -225,9 +226,10 @@ def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:
     refinement never moves an existing breakpoint).  Every deeper value on
     the segment stays between the endpoint values, so the pair brackets f(x)
     with gap at most (2/3)**depth.  Independent of the digit-map evaluator.
+    A depth over MAX_BRACKET_DEPTH raises ``ResourceLimitError``.
     """
     r = check_unit_interval(x)
-    check_index(depth, "depth")
+    check_index(depth, "depth", cap=MAX_BRACKET_DEPTH)
     x0, y0 = Fraction(0), Fraction(0)
     x1, y1 = Fraction(1), Fraction(1)
     for _ in range(depth):

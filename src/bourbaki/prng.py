@@ -25,7 +25,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int):
+        if type(seed) is not int:
             raise ParameterError(f"seed must be an integer, got {seed!r}")
         self._state = seed & _MASK
 

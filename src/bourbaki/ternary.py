@@ -30,9 +30,9 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _DIGITS = frozenset((0, 1, 2))
+MAX_PERIOD_DIGITS = 2_000_000
 
 
 def _as_rational(x) -> Fraction:
@@ -76,19 +76,11 @@ def _digits_to_int(digits: Sequence[int]) -> int:
     return _digits_to_int(digits[:half]) * pow(3, n - half) + _digits_to_int(digits[half:])
 
 
-def _minimal_period(period: Sequence[int]) -> bool:
-    n = len(period)
-    for d in range(1, n):
-        if n % d == 0 and tuple(period) == tuple(period[:d]) * (n // d):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class TernaryExpansion:
     """Canonical eventually periodic base-3 expansion of a rational in [0, 1].
 
-    Canonical form:
+    Digits are the ints 0, 1 and 2, never floats or bools.  Canonical form:
 
     * empty period means the expansion terminates, and then the preperiod
       does not end in 0;
@@ -107,13 +99,16 @@ class TernaryExpansion:
         per = tuple(self.period)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
-        if not _DIGITS.issuperset(pre) or not _DIGITS.issuperset(per):
-            raise DigitError("ternary digits must lie in {0, 1, 2}")
+        if not {int}.issuperset(map(type, pre + per)) or not _DIGITS.issuperset(pre + per):
+            raise DigitError("ternary digits must be the ints 0, 1 and 2")
         if per:
-            if set(per) == {0}:
+            if not any(per):
                 raise DigitError("a periodic tail of zeros must be the empty period")
-            if not _minimal_period(per):
-                raise DigitError(f"period {per} is not minimal")
+            # w is a power of a shorter block iff w occurs in ww at 0 < k < |w|
+            # (Lyndon-Schuetzenberger); bytes.find makes that a linear scan.
+            b = bytes(per)
+            if (b + b).find(b, 1) != len(b):
+                raise DigitError("period is not minimal")
             if pre and pre[-1] == per[-1]:
                 raise DigitError("preperiod is not minimal (rotate the period instead)")
             if per == (2,) and pre:
@@ -136,7 +131,8 @@ def to_ternary(x) -> TernaryExpansion:
     with q' coprime to 3, the first v digits are the preperiod and the tail
     is purely periodic, so the period is read off by dividing until the
     remainder returns to its starting value -- at most q' steps, and the
-    block found is automatically minimal.
+    block found is automatically minimal.  A period over MAX_PERIOD_DIGITS
+    digits raises ``ResourceLimitError`` during that division.
     """
     r = check_unit_interval(x)
     if r == 1:
@@ -158,12 +154,14 @@ def to_ternary(x) -> TernaryExpansion:
     per: list[int] = []
     if start:
         num = start
-        while True:
+        for _ in range(MAX_PERIOD_DIGITS):
             num *= 3
             d, num = divmod(num, q_free)
             per.append(d)
             if num == start:
                 break
+        else:
+            raise ResourceLimitError(f"base-3 period over the cap of {MAX_PERIOD_DIGITS} digits")
     return TernaryExpansion(tuple(pre), tuple(per))
 
 
@@ -212,7 +210,7 @@ class AffineMap:
         return self.slope * _as_rational(v) + self.intercept
 
 
-IDENTITY = AffineMap(ONE, ZERO)
+IDENTITY = AffineMap(1, 0)
 
 
 def affine_compose(outer: AffineMap, inner: AffineMap) -> AffineMap:

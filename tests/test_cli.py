@@ -313,6 +313,8 @@ class TestExitCodes:
             ["eval-f", "1/3", "--a", "1/" + "7" * 5000],
             ["approx-f", "0.5", "--tol", "0." + "0" * 5000 + "1"],
             ["approx-f", "0." + "3" * 5000, "--tol", "0.1"],
+            ["eval-f", "1/1000000000039"],
+            ["eval-F", "1/1000000000039"],
         ],
     )
     def test_invalid_input_exits_1(self, capsys, argv):

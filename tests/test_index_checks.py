@@ -52,6 +52,7 @@ CAPPED = {
     "mass_bound_check": (mass_bound_check, 9),
     "arc_length_profile": (arc_length_profile, 13),
     "run_verification": (lambda n: run_verification("symmetry", 1, n), 10001),
+    "bracket_value": (lambda depth: bracket_value(Fraction(1, 7), depth), 1001),
 }
 
 
@@ -67,3 +68,9 @@ def test_index_over_cap(name):
     fn, over = CAPPED[name]
     with pytest.raises(ResourceLimitError):
         fn(over)
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.0])
+def test_non_int_seed_rejected(seed):
+    with pytest.raises(ParameterError):
+        SplitMix64(seed)

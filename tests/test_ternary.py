@@ -11,7 +11,8 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bourbaki.errors import DigitError, DomainError, SingularMapError
+from bourbaki import ternary
+from bourbaki.errors import DigitError, DomainError, ResourceLimitError, SingularMapError
 from bourbaki.ternary import (
     IDENTITY,
     AffineMap,
@@ -106,6 +107,12 @@ class TestToTernary:
         with pytest.raises(DomainError):
             to_ternary(0.5)
 
+    def test_period_budget(self, monkeypatch):
+        monkeypatch.setattr(ternary, "MAX_PERIOD_DIGITS", 6)
+        assert len(to_ternary(Fraction(1, 7)).period) == 6
+        with pytest.raises(ResourceLimitError):
+            to_ternary(Fraction(1, 17))
+
     @pytest.mark.parametrize("x", [True, False, 0.5])
     def test_unit_interval_rejects_inexact_types(self, x):
         with pytest.raises(DomainError):
@@ -124,11 +131,32 @@ class TestCanonicalForm:
             ((), (1, 2, 1, 2)),
             ((1,), (2, 1)),  # preperiod could be folded into the period
             ((1,), (2,)),  # all-2 tail collapses to a terminating expansion
+            ((), (1.0,)),  # digits are the ints 0, 1 and 2, nothing equal to them
+            ((2.0,), ()),
+            ((), (True,)),
+            ((), ("1",)),
         ],
     )
     def test_rejects_noncanonical(self, pre, per):
         with pytest.raises(DigitError):
             TernaryExpansion(pre, per)
+
+    @given(st.one_of(
+        st.lists(st.integers(0, 2), min_size=1, max_size=40),
+        st.builds(lambda w, k: w * k,
+                  st.lists(st.integers(0, 2), min_size=1, max_size=10),
+                  st.integers(2, 4)),
+    ).filter(any))
+    @settings(deadline=None, max_examples=300)
+    def test_period_must_be_primitive(self, word):
+        n = len(word)
+        # Oracle: the word is a power of one of its proper divisor-length prefixes.
+        power = any(n % d == 0 and word == word[:d] * (n // d) for d in range(1, n))
+        if power:
+            with pytest.raises(DigitError):
+                TernaryExpansion((), tuple(word))
+        else:
+            TernaryExpansion((), tuple(word))
 
     @given(unit_fractions)
     @settings(deadline=None)
