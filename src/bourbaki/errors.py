@@ -13,12 +13,12 @@ class DomainError(BourbakiError, ValueError):
     """An argument lies outside the mathematical domain (usually [0, 1])."""
 
 
-class DigitError(BourbakiError, ValueError):
-    """A base-3 digit outside {0, 1, 2}."""
-
-
 class ParameterError(BourbakiError, ValueError):
     """A structural parameter is invalid (family parameter, case tag, index)."""
+
+
+class DigitError(ParameterError):
+    """A base-3 digit outside {0, 1, 2}, or a non-canonical digit expansion."""
 
 
 class ParseError(BourbakiError, ValueError):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 import re
 
 from .errors import (
@@ -33,8 +32,8 @@ from .errors import (
 )
 from .ternary import (
     AffineMap,
-    ZERO,
     balanced_product,
+    check_digits,
     check_index,
     check_unit_interval,
     digit_stream,
@@ -171,14 +170,13 @@ def digit_step_map(d: int, param: FamilyParam = CLASSICAL) -> AffineMap:
 
     For a = 2/3 these are (2/3)v, (2 - v)/3 and (2v + 1)/3.
     """
+    check_digits((d,), "digit")
     a = param.a
     if d == 0:
-        return AffineMap(a, ZERO)
+        return AffineMap(a, 0)
     if d == 1:
         return AffineMap(1 - 2 * a, a)
-    if d == 2:
-        return AffineMap(a, 1 - a)
-    raise ParameterError(f"base-3 digit must be 0, 1 or 2, got {d!r}")
+    return AffineMap(a, 1 - a)
 
 
 def _digit_triples(param: FamilyParam) -> dict[int, tuple[int, int, int]]:
@@ -336,7 +334,6 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
     return (lo, hi) if lo <= hi else (hi, lo)
 
 
-@lru_cache(maxsize=4)
 def classical_table(i: int) -> BreakpointTable:
-    """Cached classical tables for read-heavy consumers (geometry, verify)."""
+    """The level-i table of the classical function."""
     return build_iterate(i)

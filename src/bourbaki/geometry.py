@@ -23,10 +23,10 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .errors import ConsistencyError, DigitError, EmptyInputError
+from .errors import ConsistencyError, EmptyInputError
 from .antiderivative import build_F_iterate, iter_F_iterates
 from .function import BreakpointTable, classical_table
-from .ternary import check_index
+from .ternary import check_digits, check_index
 
 MAX_BOX_LEVEL = 10
 MAX_COVER_LEVEL = 10
@@ -107,22 +107,6 @@ class CoverRectangle:
         return self.width * self.height
 
 
-def _check_digits(digits) -> tuple[int, ...]:
-    """A digit path given as a string over "012" or as ints 0, 1, 2."""
-    if isinstance(digits, str):
-        ds = tuple("012".find(c) for c in digits)  # -1 for any other character
-    else:
-        try:
-            ds = tuple(digits)
-        except TypeError:
-            raise DigitError(
-                f"digit path must be a string or a sequence: {digits!r}"
-            ) from None
-    if not all(type(d) is int and d in (0, 1, 2) for d in ds):
-        raise DigitError(f"digit path must use digits 0, 1, 2 only: {digits!r}")
-    return ds
-
-
 def cover_level(i: int) -> list[CoverRectangle]:
     """The 3**i rectangles covering the graph at depth i, in digit-path order.
 
@@ -165,9 +149,12 @@ def interval_mass(digits) -> Fraction:
 
     The self-similar measure splits mass 2/5, 1/5, 2/5 across digits 0, 1, 2,
     so a path of length n with m digit-1 steps has mass 2**(n - m) / 5**n
-    (1 for the empty path: the whole graph).
+    (1 for the empty path: the whole graph).  The path is a string over "012"
+    or an iterable of the ints 0, 1 and 2.
     """
-    ds = _check_digits(digits)
+    if isinstance(digits, str):
+        digits = ["012".find(c) for c in digits]  # -1 for any other character
+    ds = check_digits(digits, "digit path")
     n = len(ds)
     return Fraction(2 ** (n - ds.count(1)), 5**n)
 

@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from math import gcd
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 
 _CTX = Context(prec=40)
 _SIG = 12
@@ -32,23 +32,25 @@ _ONE_ROUNDING_DEN = 10**31
 
 
 def format_rational(x) -> str:
-    """Render a rational as "p/q", keeping the denominator even when 1."""
+    """Render a rational as "p/q", keeping the denominator even when 1; past
+    Python's int-to-str digit limit, raise ``ResourceLimitError`` instead."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise ResourceLimitError("value too long to print: past the int-to-str digit limit") from None
 
 
 def decimal_12(value) -> str:
     """Round to 12 significant digits and print in plain decimal notation.
 
-    Accepts Fraction, Decimal or int.  Zero prints as "0.000000000000"
+    Accepts Fraction or Decimal.  Zero prints as "0.000000000000"
     since significant digits are undefined for it.
     """
     if isinstance(value, Fraction):
         d = _CTX.divide(Decimal(value.numerator), Decimal(value.denominator))
     elif isinstance(value, Decimal):
         d = value
-    elif isinstance(value, int):
-        d = Decimal(value)
     else:
         raise ParameterError(f"cannot render {value!r} as a decimal")
     if d == 0:

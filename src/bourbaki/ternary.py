@@ -29,8 +29,6 @@ from .errors import (
     SingularMapError,
 )
 
-ZERO = Fraction(0)
-
 _DIGITS = frozenset((0, 1, 2))
 MAX_PERIOD_DIGITS = 2_000_000
 
@@ -58,6 +56,22 @@ def check_index(i, what: str = "level", low: int = 0, cap: int | None = None) ->
     if cap is not None and i > cap:
         raise ResourceLimitError(f"{what} {i} exceeds the supported cap {cap}")
     return i
+
+
+def check_digits(digits, what: str = "digits") -> tuple[int, ...]:
+    """The one test of what a base-3 digit is: the ints 0, 1 and 2.
+
+    Takes any iterable and returns its digits as a tuple.  Bools, floats and
+    strings are rejected even where they compare equal to a digit, and so is
+    a non-iterable; each raises ``DigitError``.
+    """
+    try:
+        ds = tuple(digits)
+    except TypeError:
+        raise DigitError(f"{what} must be an iterable of base-3 digits, got {digits!r}") from None
+    if not {int}.issuperset(map(type, ds)) or not _DIGITS.issuperset(ds):
+        raise DigitError(f"{what} must be the ints 0, 1 and 2")
+    return ds
 
 
 def _digits_to_int(digits: Sequence[int]) -> int:
@@ -95,12 +109,10 @@ class TernaryExpansion:
     period: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        pre = tuple(self.preperiod)
-        per = tuple(self.period)
+        pre = check_digits(self.preperiod, "preperiod")
+        per = check_digits(self.period, "period")
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
-        if not {int}.issuperset(map(type, pre + per)) or not _DIGITS.issuperset(pre + per):
-            raise DigitError("ternary digits must be the ints 0, 1 and 2")
         if per:
             if not any(per):
                 raise DigitError("a periodic tail of zeros must be the empty period")
@@ -127,30 +139,24 @@ class TernaryExpansion:
 def to_ternary(x) -> TernaryExpansion:
     """Canonical base-3 expansion of a rational in [0, 1].
 
-    Base-3 long division.  Writing the reduced denominator as q = 3**v * q'
-    with q' coprime to 3, the first v digits are the preperiod and the tail
-    is purely periodic, so the period is read off by dividing until the
-    remainder returns to its starting value -- at most q' steps, and the
-    block found is automatically minimal.  A period over MAX_PERIOD_DIGITS
-    digits raises ``ResourceLimitError`` during that division.
+    Write the reduced x = p/q with q = 3**v * q' and q' coprime to 3.  One
+    ``divmod`` splits 3**v * x = p/q' into whole + start/q': the preperiod is
+    the v base-3 digits of whole (< 3**v), and start/q' is the purely periodic
+    tail.  Its period is read off by base-3 long division until the
+    remainder returns to start -- at most q' steps, and the block found is
+    automatically minimal.  A period over MAX_PERIOD_DIGITS digits raises
+    ``ResourceLimitError`` during that division.
     """
     r = check_unit_interval(x)
     if r == 1:
         return TernaryExpansion((), (2,))
-    p, q = r.numerator, r.denominator
+    p, q_free = r.numerator, r.denominator
     v = 0
-    q_free = q
     while q_free % 3 == 0:
         q_free //= 3
         v += 1
-    pre = []
-    num = p
-    for _ in range(v):
-        num *= 3
-        d, num = divmod(num, q)
-        pre.append(d)
-    # Tail value num/q reduces to (num // 3**v) / q_free and is purely periodic.
-    start = num // (3**v)
+    whole, start = divmod(p, q_free)
+    pre = [whole // 3**k % 3 for k in reversed(range(v))]
     per: list[int] = []
     if start:
         num = start
@@ -162,7 +168,7 @@ def to_ternary(x) -> TernaryExpansion:
                 break
         else:
             raise ResourceLimitError(f"base-3 period over the cap of {MAX_PERIOD_DIGITS} digits")
-    return TernaryExpansion(tuple(pre), tuple(per))
+    return TernaryExpansion(pre, per)
 
 
 def digit_stream(x) -> Iterator[int]:

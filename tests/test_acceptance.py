@@ -6,6 +6,7 @@ results at a glance, and asserts its stated runtime budget where one
 applies.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -235,3 +236,7 @@ def test_criterion_10_deterministic_verification(capsys):
         assert first.stdout == second.stdout
         assert first.stdout.startswith(b"{")
         assert b'"failures": []' in first.stdout
+        # 2,718 checks; any change to the cases, their order or the report shows here.
+        assert hashlib.sha256(first.stdout).hexdigest() == (
+            "1ce63ca7f7b899e1830d05dd326de8a4f6c90880a5d2f8badbfcd778fdf45d1f"
+        )

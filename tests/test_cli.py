@@ -70,6 +70,11 @@ class TestRender:
         with pytest.raises(ParameterError):
             decimal_12(0.5)
 
+    @pytest.mark.parametrize("value", [1, 0, True])
+    def test_decimal_12_rejects_ints(self, value):
+        with pytest.raises(ParameterError):
+            decimal_12(value)
+
     def test_format_value(self):
         assert format_value(F(8, 23)) == "8/23 (0.347826086957)"
 
@@ -315,6 +320,11 @@ class TestExitCodes:
             ["approx-f", "0." + "3" * 5000, "--tol", "0.1"],
             ["eval-f", "1/1000000000039"],
             ["eval-F", "1/1000000000039"],
+            # values whose numerator or denominator is too long to print
+            ["eval-f", "1/99991"],
+            ["eval-F", "1/99991"],
+            ["measure", "--digits", "0" * 6200],
+            ["approx-f", "0.1", "--tol", "0." + "0" * 2000 + "1"],
         ],
     )
     def test_invalid_input_exits_1(self, capsys, argv):

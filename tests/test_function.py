@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bourbaki.errors import (
+    DigitError,
     DomainError,
     ParameterError,
     ParseError,
@@ -179,6 +180,11 @@ class TestDigitStepMap:
         with pytest.raises(ParameterError):
             digit_step_map(3)
 
+    @pytest.mark.parametrize("d", [True, False, 1.0, 0.0, "1"])
+    def test_digit_must_be_an_int(self, d):
+        with pytest.raises(DigitError):
+            digit_step_map(d)
+
     def test_period_composite_for_one_seventh(self):
         maps = [digit_step_map(d) for d in (0, 1, 0, 2, 1, 2)]
         m = compose_chain(maps)
@@ -265,6 +271,27 @@ class TestEvalExact:
         for d in reversed(e.preperiod):
             v = digit_step_map(d, param)(v)
         assert eval_exact(x, param) == v
+
+
+class TestIdentityMember:
+    """At a = 1/3 the digit maps are t -> (t + d)/3, so f_{1/3}(x) = x: an
+    exact oracle for the closure at any period length that shares no code
+    with the ``AffineMap`` reference route."""
+
+    IDENTITY_PARAM = FamilyParam(F(1, 3))
+
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=10**4))
+    @settings(deadline=None)
+    def test_value_is_the_point(self, x):
+        assert eval_exact(x, self.IDENTITY_PARAM) == x
+
+    @pytest.mark.parametrize("x", [F(1, 49999), F(2, 9 * 19997)])
+    def test_long_periods(self, x):
+        assert eval_exact(x, self.IDENTITY_PARAM) == x
+
+    @pytest.mark.parametrize("i", range(8))
+    def test_tables_are_the_grid(self, i):
+        assert build_iterate(i, self.IDENTITY_PARAM).y_numerators == list(range(3**i + 1))
 
 
 class TestClosedForm:

@@ -18,6 +18,7 @@ from bourbaki.ternary import (
     AffineMap,
     TernaryExpansion,
     affine_compose,
+    check_digits,
     check_unit_interval,
     affine_fixed_point,
     compose_chain,
@@ -163,6 +164,18 @@ class TestCanonicalForm:
     def test_construction_output_is_accepted(self, x):
         e = to_ternary(x)
         TernaryExpansion(e.preperiod, e.period)  # must not raise
+
+
+class TestCheckDigits:
+    def test_returns_a_tuple(self):
+        assert check_digits([0, 1, 2]) == (0, 1, 2)
+        assert check_digits(iter((2, 0))) == (2, 0)
+        assert check_digits(()) == ()
+
+    @pytest.mark.parametrize("digits", [5, None, (True,), (0, False), (-1,), (0, 3), (1.0,), "1"])
+    def test_rejects(self, digits):
+        with pytest.raises(DigitError):
+            check_digits(digits)
 
 
 class TestFromTernary:
