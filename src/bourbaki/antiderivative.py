@@ -20,28 +20,23 @@ composite over one period, built by ``balanced_product`` with denominator
 then carries (t*, G*) to (x, 2 F(x)), and the one reduction is the final
 Fraction.
 
-Breakpoint tables: F restricted to level-i grid points has common denominator
-2 * 9**i, and the three digit images of a level-i table tile the level-(i+1)
-table:
-
-    F_{i+1}(x/3)       = (2/9) F_i(x)
-    F_{i+1}((1 + x)/3) = (1/9) (1 + 2x - F_i(x))
-    F_{i+1}((2 + x)/3) = (1/9) (5/2 + x) + (2/9) F_i(x)
-
-starting from the level-0 values F(0) = 0 and F(1) = 1/2.  Tables hold exact
-values of the limit F at grid points, not integrals of the finite iterates.
-They are ``BreakpointTable``s (shared with f): integer numerators over the
-one denominator 2 * 9**i, with ``param`` None.
+Breakpoint tables: over column k of the level-i grid the graph of f is the
+affine image y = y_k + (y_{k+1} - y_k) f(t) of the whole graph, and
+f(x) + f(1 - x) = 1 makes the integral of f over [0, 1] equal 1/2.  So F
+gains exactly (y_k + y_{k+1}) / (2 * 3**i) across the column: the trapezoid
+rule on f's level-i table is exact for F on the level-i grid.  F tables are
+``BreakpointTable``s with numerators over 2 * 9**i and ``param`` None.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Iterator
 
 from .errors import ConsistencyError, OrderError, ParameterError
-from .function import MAX_CLOSED_FORM_INDEX, MAX_TABLE_LEVEL, BreakpointTable
+from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
 from .ternary import (
     balanced_product,
     check_index,
@@ -52,34 +47,23 @@ from .ternary import (
 F_HALF = Fraction(1, 2)
 
 
+def _integrate(t: BreakpointTable) -> BreakpointTable:
+    """F's table at the level of the classical f table ``t``, which must reach F(1) = 1/2."""
+    n = t.y_numerators
+    ynums = list(accumulate(map(add, n, n[1:]), initial=0))
+    if ynums[-1] != 9**t.level:
+        raise ConsistencyError("the trapezoid sum of the f table misses F(1) = 1/2")
+    return BreakpointTable(t.level, ynums, 2 * 9**t.level)
+
+
 def iter_F_iterates(max_level: int) -> Iterator[BreakpointTable]:
-    """Breakpoint tables of F at levels 0 .. max_level, each refined from the last.
-
-    Integer forms of the three digit images above tile level i + 1 from level
-    i; the junction values must agree exactly, which is asserted, not assumed.
-    """
-    check_index(max_level, cap=MAX_TABLE_LEVEL)
-
-    def tables() -> Iterator[BreakpointTable]:
-        ynums, pow3 = [0, 1], 1  # F(0) = 0, F(1) = 1/2 over denominator 2
-        for level in range(max_level + 1):
-            if level:
-                pow9 = pow3 * pow3
-                left = [2 * n for n in ynums]
-                middle = [2 * pow9 + 4 * k * pow3 - n for k, n in enumerate(ynums)]
-                right = [5 * pow9 + 2 * k * pow3 + 2 * n for k, n in enumerate(ynums)]
-                if left[-1] != middle[0] or middle[-1] != right[0]:
-                    raise ConsistencyError("digit images disagree at the third boundaries")
-                ynums = left + middle[1:] + right[1:]
-                pow3 *= 3
-            yield BreakpointTable(level, ynums, 2 * pow3 * pow3)
-
-    return tables()
+    """Breakpoint tables of F at levels 0 .. max_level, one per ``iter_iterates`` table."""
+    return map(_integrate, iter_iterates(max_level))
 
 
 def build_F_iterate(i: int) -> BreakpointTable:
-    """Breakpoint table of F at level i, numerators over 2 * 9**i."""
-    return deque(iter_F_iterates(i), maxlen=1)[0]
+    """Breakpoint table of F at level i: the running trapezoid sum of ``build_iterate(i)``."""
+    return _integrate(build_iterate(i))
 
 
 # Joint digit maps as integer 6-tuples (ts, tb, p, q, r, den):

@@ -21,9 +21,11 @@ common denominator, and the family parameter (None for F).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 import re
+from typing import Iterator
 
 from .errors import (
     ConsistencyError,
@@ -101,25 +103,37 @@ class BreakpointTable:
         return f"BreakpointTable(level={self.level}, {a}, points={len(self)})"
 
 
-def build_iterate(i: int, param: FamilyParam = CLASSICAL) -> BreakpointTable:
-    """Breakpoint table of the i-th iterate, starting from f_0(x) = x."""
-    check_index(i, cap=MAX_TABLE_LEVEL)
+def iter_iterates(max_level: int, param: FamilyParam = CLASSICAL) -> Iterator[BreakpointTable]:
+    """Breakpoint tables of f_0(x) = x, f_1 .. f_max_level, each refined from the last.
+
+    The one level walk behind every f and F table; the level is checked when called.
+    """
+    check_index(max_level, cap=MAX_TABLE_LEVEL)
     p = param.a.numerator
     q = param.a.denominator
-    ynums = [0, 1]
-    yden = 1
-    for _ in range(i):
-        nxt = []
-        for k in range(len(ynums) - 1):
-            n0, n1 = ynums[k], ynums[k + 1]
-            d = n1 - n0
-            nxt.append(n0 * q)
-            nxt.append(n0 * q + p * d)
-            nxt.append(n0 * q + (q - p) * d)
-        nxt.append(ynums[-1] * q)
-        ynums = nxt
-        yden *= q
-    return BreakpointTable(i, ynums, yden, param)
+
+    def tables() -> Iterator[BreakpointTable]:
+        ynums, yden = [0, 1], 1
+        for level in range(max_level + 1):
+            if level:
+                nxt = []
+                for k in range(len(ynums) - 1):
+                    n0, n1 = ynums[k], ynums[k + 1]
+                    d = n1 - n0
+                    nxt.append(n0 * q)
+                    nxt.append(n0 * q + p * d)
+                    nxt.append(n0 * q + (q - p) * d)
+                nxt.append(ynums[-1] * q)
+                ynums = nxt
+                yden *= q
+            yield BreakpointTable(level, ynums, yden, param)
+
+    return tables()
+
+
+def build_iterate(i: int, param: FamilyParam = CLASSICAL) -> BreakpointTable:
+    """Breakpoint table of the i-th iterate: the last table of ``iter_iterates(i, param)``."""
+    return deque(iter_iterates(i, param), maxlen=1)[0]
 
 
 def eval_iterate(t: BreakpointTable, x) -> Fraction:
@@ -260,15 +274,16 @@ def closed_form_value(case: str, i: int, j: int | None = None) -> tuple[Fraction
     v     1/(3**j + 3**i)    (2/3)**i * 2**(j-i) / (3**(j-i) + 2**(j-i))
     vi    1/(3**j - 3**i)    (2/3)**i * 2**(j-i) / (3**(j-i) + 2**(j-i-1))
 
-    Cases v and vi require j > i >= 1.  Indices above MAX_CLOSED_FORM_INDEX
-    raise ``ResourceLimitError``.
+    Cases v and vi require j > i >= 1; cases i to iv take no j.  Indices
+    above MAX_CLOSED_FORM_INDEX raise ``ResourceLimitError``.
     """
     if case not in _CASES:
         raise ParameterError(f"case must be one of {_CASES}, got {case!r}")
     check_index(i, "index i", 1, MAX_CLOSED_FORM_INDEX)
-    if case in ("v", "vi"):
-        if j is None:
-            raise ParameterError(f"case {case} requires the second index j")
+    if (case in ("v", "vi")) != (j is not None):
+        need = "requires a" if j is None else "takes no"
+        raise ParameterError(f"case {case} {need} second index j")
+    if j is not None:
         check_index(j, "index j", i + 1, MAX_CLOSED_FORM_INDEX)
     p3, p2 = 3**i, 2**i
     if case == "i":

@@ -4,8 +4,8 @@ Frozen oracles, each checked by hand fixed-point algebra:
   F(1)   : v = (1/9)(5/2 + 1) + (2/9) v  ->  v = 1/2
   F(1/2) : v = (1/9)(2 - v)              ->  v = 1/5
   F(1/4) : v = 11/162 + (4/81) v         ->  v = 1/14
-The table route (digit images of coarser tables) must reproduce the same
-values at every shared grid point.
+The table route (running trapezoid sums of f's tables) must reproduce the
+same values at every shared grid point.
 """
 
 from fractions import Fraction
@@ -25,6 +25,7 @@ from bourbaki.antiderivative import (
 )
 from bourbaki.errors import ConsistencyError, OrderError, ParameterError, ResourceLimitError
 from bourbaki.function import CLASSICAL, BreakpointTable, build_iterate, eval_exact
+from bourbaki.prng import SplitMix64
 
 F = Fraction
 
@@ -104,6 +105,17 @@ class TestBuildFIterate:
         with pytest.raises(ResourceLimitError):
             build_F_iterate(14)
 
+    def test_corrupted_f_table_is_caught(self, monkeypatch):
+        def shifted(i):
+            t = build_iterate(i)
+            ynums = list(t.y_numerators)
+            ynums[1] += 1
+            return BreakpointTable(i, ynums, t.y_denominator, t.param)
+
+        monkeypatch.setattr(antiderivative, "build_iterate", shifted)
+        with pytest.raises(ConsistencyError, match="F\\(1\\) = 1/2"):
+            build_F_iterate(3)
+
 
 class TestEvalFExact:
     @pytest.mark.parametrize(
@@ -130,6 +142,16 @@ class TestEvalFExact:
         t = build_F_iterate(i)
         for k in range(3**i + 1):
             assert t.y_at(k) == eval_F_exact(F(k, 3**i))
+
+    def test_agrees_with_deep_table(self):
+        # The table sums f's numerators and eval_F_exact composes the joint
+        # digit maps: the two routes share no F constant.
+        i = 12
+        t = build_F_iterate(i)
+        rng = SplitMix64(12)
+        ks = [0, 3**i] + [rng.next_below(3**i + 1) for _ in range(200)]
+        for k in ks:
+            assert t.y_at(k) == eval_F_exact(F(k, 3**i)), k
 
     @given(unit_fractions)
     @settings(deadline=None)

@@ -297,6 +297,7 @@ class TestExitCodes:
             ["closed-form", "--target", "f", "--case", "v", "--i", "1"],
             ["closed-form", "--target", "F", "--case", "v", "--i", "1"],
             ["closed-form", "--target", "F", "--case", "i", "--i", "1", "--j", "2"],
+            ["closed-form", "--target", "f", "--case", "i", "--i", "1", "--j", "5"],
             ["closed-form", "--target", "f", "--case", "i", "--i", "10000"],
             ["closed-form", "--target", "F", "--case", "ii", "--i", "5000"],
             ["iterate", "--target", "f", "--level", "99", "--format", "csv", "--out", "/dev/null"],

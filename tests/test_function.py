@@ -10,7 +10,7 @@ from fractions import Fraction
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bourbaki.errors import (
     DigitError,
@@ -30,6 +30,7 @@ from bourbaki.function import (
     eval_exact,
     eval_iterate,
     ifs_refine,
+    iter_iterates,
     parse_decimal,
 )
 from bourbaki.ternary import compose_chain
@@ -126,6 +127,13 @@ class TestBuildIterate:
             build_iterate(14)
         with pytest.raises(ParameterError):
             build_iterate(-1)
+
+    @given(params)
+    @example(CLASSICAL)
+    @example(HALF_PARAM)
+    @settings(deadline=None, max_examples=10)
+    def test_walk_yields_every_level(self, param):
+        assert list(iter_iterates(5, param)) == [build_iterate(i, param) for i in range(6)]
 
 
 class TestEvalIterate:
@@ -332,6 +340,8 @@ class TestClosedForm:
             closed_form_value("v", 2)
         with pytest.raises(ParameterError):
             closed_form_value("v", 2, 2)
+        with pytest.raises(ParameterError):
+            closed_form_value("iv", 2, 3)
 
 
 class TestBracketValue:

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from bourbaki.antiderivative import build_F_iterate, integral_closed_form
+from bourbaki.antiderivative import build_F_iterate, integral_closed_form, iter_F_iterates
 from bourbaki.errors import ParameterError, ResourceLimitError
-from bourbaki.function import bracket_value, build_iterate, closed_form_value
+from bourbaki.function import bracket_value, build_iterate, closed_form_value, iter_iterates
 from bourbaki.geometry import (
     arc_length_profile,
     box_count,
@@ -25,6 +25,8 @@ from bourbaki.verify import run_verification
 INDEXED = {
     "build_iterate": build_iterate,
     "build_F_iterate": build_F_iterate,
+    "iter_iterates": iter_iterates,
+    "iter_F_iterates": iter_F_iterates,
     "closed_form_value_i": lambda i: closed_form_value("i", i),
     "closed_form_value_j": lambda j: closed_form_value("v", 1, j),
     "integral_closed_form": lambda i: integral_closed_form("i", i),
@@ -43,6 +45,8 @@ INDEXED = {
 CAPPED = {
     "build_iterate": (build_iterate, 14),
     "build_F_iterate": (build_F_iterate, 14),
+    "iter_iterates": (iter_iterates, 14),
+    "iter_F_iterates": (iter_F_iterates, 14),
     "closed_form_value_i": (lambda i: closed_form_value("i", i), 1001),
     "closed_form_value_j": (lambda j: closed_form_value("v", 1, j), 1001),
     "integral_closed_form": (lambda i: integral_closed_form("i", i), 1001),
