@@ -34,10 +34,11 @@ from .errors import (
 )
 from .ternary import (
     AffineMap,
-    balanced_product,
     check_digits,
     check_index,
     check_unit_interval,
+    close_chain,
+    compose_triples,
     digit_stream,
     to_ternary,
 )
@@ -116,14 +117,11 @@ def iter_iterates(max_level: int, param: FamilyParam = CLASSICAL) -> Iterator[Br
         ynums, yden = [0, 1], 1
         for level in range(max_level + 1):
             if level:
-                nxt = []
-                for k in range(len(ynums) - 1):
-                    n0, n1 = ynums[k], ynums[k + 1]
-                    d = n1 - n0
-                    nxt.append(n0 * q)
-                    nxt.append(n0 * q + p * d)
-                    nxt.append(n0 * q + (q - p) * d)
-                nxt.append(ynums[-1] * q)
+                # y0 + a (y1 - y0) and y0 + (1 - a)(y1 - y0), over the denominator q
+                nxt = [0] * (3 * len(ynums) - 2)
+                nxt[::3] = [n * q for n in ynums]
+                nxt[1::3] = [(q - p) * n0 + p * n1 for n0, n1 in zip(ynums, ynums[1:])]
+                nxt[2::3] = [p * n0 + (q - p) * n1 for n0, n1 in zip(ynums, ynums[1:])]
                 ynums = nxt
                 yden *= q
             yield BreakpointTable(level, ynums, yden, param)
@@ -199,34 +197,14 @@ def _digit_triples(param: FamilyParam) -> dict[int, tuple[int, int, int]]:
     return {0: (p, 0, q), 1: (q - 2 * p, p, q), 2: (p, q - p, q)}
 
 
-def _compose_triples(outer, inner):
-    so, bo, do = outer
-    si, bi, di = inner
-    return (so * si, so * bi + bo * di, do * di)
-
-
 def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
     """Exact value of the limit function at a rational point.
 
-    The digit maps are composed over one full period of the expansion; the
-    composite has |slope| <= max(a, 1-a, |2a-1|) ** period_length < 1, so the
-    periodic tail value is its unique fixed point.  The preperiod composite
-    then carries the tail value to f(x).  Both composites are integer triples
-    (s, b, q**k) built by ``balanced_product``: no gcd until the one final
-    Fraction, which matters for periods thousands of digits long.
+    ``close_chain`` of the expansion of x under the digit maps of ``param`` as
+    integer triples; the period composite contracts, since its |slope| <=
+    max(a, 1-a, |2a-1|) ** period_length < 1.
     """
-    e = to_ternary(x)
-    leaf = _digit_triples(param)
-    num, den = 0, 1  # the tail value num/den
-    if e.period:
-        s, b, d = balanced_product([leaf[k] for k in e.period], _compose_triples)
-        if not -d < s < d:
-            raise ConsistencyError("period map is not a contraction")
-        num, den = b, d - s
-    if e.preperiod:
-        s, b, d = balanced_product([leaf[k] for k in e.preperiod], _compose_triples)
-        num, den = s * num + b * den, d * den
-    return Fraction(num, den)
+    return close_chain(to_ternary(x), _digit_triples(param))
 
 
 def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:
@@ -344,7 +322,7 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
         if d is None:
             v = Fraction(b, den)  # terminating expansion: the tail is exactly 0
             return (v, v)
-        s, b, den = _compose_triples((s, b, den), leaf[d])
+        s, b, den = compose_triples((s, b, den), leaf[d])
     lo, hi = Fraction(b, den), Fraction(s + b, den)
     return (lo, hi) if lo <= hi else (hi, lo)
 

@@ -20,6 +20,7 @@ from .errors import ParameterError, ResourceLimitError
 
 _CTX = Context(prec=40)
 _SIG = 12
+_ROUND_12 = Context(prec=_SIG, rounding=ROUND_HALF_EVEN)
 
 _VIEW = 900
 _MARGIN = 2
@@ -32,8 +33,10 @@ _ONE_ROUNDING_DEN = 10**31
 
 
 def format_rational(x) -> str:
-    """Render a rational as "p/q", keeping the denominator even when 1; past
-    Python's int-to-str digit limit, raise ``ResourceLimitError`` instead."""
+    """Render a Fraction or int as "p/q", keeping the denominator even when 1;
+    past Python's int-to-str digit limit, raise ``ResourceLimitError`` instead."""
+    if isinstance(x, bool) or not isinstance(x, (Fraction, int)):
+        raise ParameterError(f"cannot render {x!r} as a rational")
     x = Fraction(x)
     try:
         return f"{x.numerator}/{x.denominator}"
@@ -55,14 +58,8 @@ def decimal_12(value) -> str:
         raise ParameterError(f"cannot render {value!r} as a decimal")
     if d == 0:
         return "0.000000000000"
-    exponent = Decimal(1).scaleb(d.adjusted() - (_SIG - 1))
-    q = d.quantize(exponent, rounding=ROUND_HALF_EVEN, context=_CTX)
-    if q.adjusted() != d.adjusted():
-        # Rounding carried into the next decade (0.99... became 1.00...),
-        # so one fewer fractional digit keeps 12 significant digits.
-        exponent = Decimal(1).scaleb(q.adjusted() - (_SIG - 1))
-        q = q.quantize(exponent, rounding=ROUND_HALF_EVEN, context=_CTX)
-    return format(q, "f")
+    r = _ROUND_12.plus(d)  # one half-even rounding; 0.99... carries to 1.00...
+    return format(r.quantize(Decimal(1).scaleb(r.adjusted() - (_SIG - 1)), context=_CTX), "f")
 
 
 def format_value(x) -> str:

@@ -11,6 +11,10 @@ Everything downstream is built from the objects here, over the stdlib
 * ``balanced_product`` -- the one product tree that every chain of digit
   maps is composed with, over ``AffineMap``s here and over unreduced integer
   tuples in the evaluators.
+* ``close_chain`` -- the one closure that turns an expansion into a value
+  under digit maps given as integer triples: f and f_a through theirs, and
+  the expansion's own value through v -> (v + d)/3, the maps of the family
+  member a = 1/3, whose limit function is the identity.
 
 No floating point is used anywhere in this module.
 """
@@ -22,6 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
+    ConsistencyError,
     DigitError,
     DomainError,
     ParameterError,
@@ -72,22 +77,6 @@ def check_digits(digits, what: str = "digits") -> tuple[int, ...]:
     if not {int}.issuperset(map(type, ds)) or not _DIGITS.issuperset(ds):
         raise DigitError(f"{what} must be the ints 0, 1 and 2")
     return ds
-
-
-def _digits_to_int(digits: Sequence[int]) -> int:
-    """Value of a digit string read as a base-3 integer.
-
-    Split recursion keeps this subquadratic for the very long periods that
-    denominators near 10**6 can produce.
-    """
-    n = len(digits)
-    if n <= 64:
-        acc = 0
-        for d in digits:
-            acc = acc * 3 + d
-        return acc
-    half = n // 2
-    return _digits_to_int(digits[:half]) * pow(3, n - half) + _digits_to_int(digits[half:])
 
 
 @dataclass(frozen=True)
@@ -141,11 +130,11 @@ def to_ternary(x) -> TernaryExpansion:
 
     Write the reduced x = p/q with q = 3**v * q' and q' coprime to 3.  One
     ``divmod`` splits 3**v * x = p/q' into whole + start/q': the preperiod is
-    the v base-3 digits of whole (< 3**v), and start/q' is the purely periodic
-    tail.  Its period is read off by base-3 long division until the
-    remainder returns to start -- at most q' steps, and the block found is
-    automatically minimal.  A period over MAX_PERIOD_DIGITS digits raises
-    ``ResourceLimitError`` during that division.
+    the v base-3 digits of whole (< 3**v), read by v divmods by 3 from the low
+    end, and start/q' is the purely periodic tail.  Its period is read off by
+    base-3 long division until the remainder returns to start -- at most q'
+    steps, and the block found is automatically minimal.  A period over
+    MAX_PERIOD_DIGITS digits raises ``ResourceLimitError`` during that division.
     """
     r = check_unit_interval(x)
     if r == 1:
@@ -156,7 +145,9 @@ def to_ternary(x) -> TernaryExpansion:
         q_free //= 3
         v += 1
     whole, start = divmod(p, q_free)
-    pre = [whole // 3**k % 3 for k in reversed(range(v))]
+    pre = [0] * v
+    for k in reversed(range(v)):
+        whole, pre[k] = divmod(whole, 3)
     per: list[int] = []
     if start:
         num = start
@@ -188,17 +179,6 @@ def digit_stream(x) -> Iterator[int]:
         num *= 3
         d, num = divmod(num, den)
         yield d
-
-
-def from_ternary(e: TernaryExpansion) -> Fraction:
-    """Exact value of a canonical expansion: preperiod part plus the periodic
-    tail summed as a geometric series."""
-    m = len(e.preperiod)
-    value = Fraction(_digits_to_int(e.preperiod), 3**m)
-    if e.period:
-        length = len(e.period)
-        value += Fraction(_digits_to_int(e.period), (3**length - 1) * 3**m)
-    return value
 
 
 @dataclass(frozen=True)
@@ -253,3 +233,42 @@ def affine_fixed_point(m: AffineMap) -> Fraction:
     if m.slope == 1:
         raise SingularMapError("affine map with slope 1 has no unique fixed point")
     return m.intercept / (1 - m.slope)
+
+
+_BASE3_TRIPLES = {0: (1, 0, 3), 1: (1, 1, 3), 2: (1, 2, 3)}
+
+
+def compose_triples(outer, inner):
+    """outer o inner for integer triples (s, b, d), each the map v -> (s v + b)/d."""
+    so, bo, do = outer
+    si, bi, di = inner
+    return (so * si, so * bi + bo * di, do * di)
+
+
+def close_chain(e: TernaryExpansion, triples: dict[int, tuple[int, int, int]]) -> Fraction:
+    """Value at the point with expansion e of the function whose digit maps are ``triples``.
+
+    ``triples[d]`` = (s, b, q) is the map v -> (s v + b)/q that prepending
+    digit d applies to the tail value.  The period composite must contract;
+    its unique fixed point is the periodic tail value (0 for a terminating
+    expansion), which the preperiod composite carries to the point.  Both
+    composites are unreduced triples from ``balanced_product``, so the one
+    gcd is in the final Fraction, which matters for periods of many digits.
+    """
+    num, den = 0, 1  # the tail value num/den
+    if e.period:
+        s, b, d = balanced_product([triples[k] for k in e.period], compose_triples)
+        if not -d < s < d:
+            raise ConsistencyError("period map is not a contraction")
+        num, den = b, d - s
+    if e.preperiod:
+        s, b, d = balanced_product([triples[k] for k in e.preperiod], compose_triples)
+        num, den = s * num + b * den, d * den
+    return Fraction(num, den)
+
+
+def from_ternary(e: TernaryExpansion) -> Fraction:
+    """Exact value of a canonical expansion: the ``close_chain`` of the family
+    member a = 1/3, whose digit maps are v -> (v + d)/3 and whose limit
+    function is the identity."""
+    return close_chain(e, _BASE3_TRIPLES)

@@ -46,10 +46,15 @@ ITERATE_DIGESTS = [
 class TestRender:
     @pytest.mark.parametrize(
         "x,text",
-        [(F(1, 2), "1/2"), (F(0), "0/1"), (F(1), "1/1"), (F(-3, 4), "-3/4")],
+        [(F(1, 2), "1/2"), (F(0), "0/1"), (F(1), "1/1"), (F(-3, 4), "-3/4"), (5, "5/1")],
     )
     def test_format_rational(self, x, text):
         assert format_rational(x) == text
+
+    @pytest.mark.parametrize("value", [0.5, True, "1/3"])
+    def test_format_rational_rejects_non_rationals(self, value):
+        with pytest.raises(ParameterError):
+            format_rational(value)
 
     @pytest.mark.parametrize(
         "x,text",

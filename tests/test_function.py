@@ -22,6 +22,7 @@ from bourbaki.errors import (
 from bourbaki.function import (
     CLASSICAL,
     FamilyParam,
+    _digit_triples,
     approx_eval,
     bracket_value,
     build_iterate,
@@ -33,7 +34,7 @@ from bourbaki.function import (
     iter_iterates,
     parse_decimal,
 )
-from bourbaki.ternary import compose_chain
+from bourbaki.ternary import _BASE3_TRIPLES, compose_chain
 
 F = Fraction
 HALF_PARAM = FamilyParam(F(1, 2))
@@ -292,6 +293,9 @@ class TestIdentityMember:
     @settings(deadline=None)
     def test_value_is_the_point(self, x):
         assert eval_exact(x, self.IDENTITY_PARAM) == x
+
+    def test_from_ternary_uses_this_member(self):
+        assert _BASE3_TRIPLES == _digit_triples(self.IDENTITY_PARAM)
 
     @pytest.mark.parametrize("x", [F(1, 49999), F(2, 9 * 19997)])
     def test_long_periods(self, x):

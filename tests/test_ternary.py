@@ -6,10 +6,12 @@ computed with exact rationals and no long division.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import floor
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bourbaki import ternary
 from bourbaki.errors import DigitError, DomainError, ResourceLimitError, SingularMapError
@@ -22,6 +24,7 @@ from bourbaki.ternary import (
     check_unit_interval,
     affine_fixed_point,
     compose_chain,
+    digit_stream,
     from_ternary,
     to_ternary,
 )
@@ -99,6 +102,16 @@ class TestToTernary:
                 order += 1
             assert len(e.period) == order
             assert order <= q
+
+    def test_deep_preperiod_in_one_pass(self):
+        v = 20000
+        x = Fraction(3**v - 2, 3**v)
+        start = time.perf_counter()
+        e = to_ternary(x)
+        elapsed = time.perf_counter() - start
+        assert e.period == ()
+        assert list(e.preperiod) == list(islice(digit_stream(x), v))
+        assert elapsed < 3, f"to_ternary took {elapsed:.2f} s for a {v}-digit preperiod"
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
@@ -193,6 +206,22 @@ class TestFromTernary:
     )
     def test_known_values(self, pre, per, value):
         assert from_ternary(TernaryExpansion(pre, per)) == value
+
+    @given(st.lists(st.integers(0, 2), max_size=30), st.lists(st.integers(0, 2), max_size=30))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_positional_oracle(self, pre, per):
+        try:
+            e = TernaryExpansion(tuple(pre), tuple(per))
+        except DigitError:
+            e = None
+        assume(e is not None)
+        # Oracle: the preperiod read as a base-3 integer, plus the periodic
+        # tail summed as a geometric series.
+        m = len(pre)
+        value = Fraction(int("0" + "".join(map(str, pre)), 3), 3**m)
+        if per:
+            value += Fraction(int("".join(map(str, per)), 3), (3 ** len(per) - 1) * 3**m)
+        assert from_ternary(e) == value
 
     def test_long_period_geometric_sum(self):
         e = to_ternary(Fraction(1, 9973))
