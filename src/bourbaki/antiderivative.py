@@ -14,11 +14,13 @@ joint affine map
     t' = (3 t + 3 d)/9       G' = (p t + q G + r)/9
 
 with (p, q, r) = (0, 2, 0), (4, -1, 2), (2, 2, 5) for d = 0, 1, 2.  The
-composite over one period, built by ``balanced_product`` with denominator
-9**k, is contracting in each component; its two fixed-point equations give
-(t*, G*) exactly, without per-rotation tail values.  The preperiod composite
-then carries (t*, G*) to (x, 2 F(x)), and the one reduction is the final
-Fraction.
+composite over one period, built over six-digit block leaves by
+``compose_digits`` with denominator 9**k, is contracting in each component;
+its two fixed-point equations give (t*, G*) exactly, without per-rotation
+tail values.  For an antiperiodic period (its second half the digit
+complement of the first) the composite of the first half suffices, since
+F(1 - t) = F(t) + 1/2 - t.  The preperiod composite then carries (t*, G*)
+to (x, 2 F(x)), and the one reduction is the final Fraction.
 
 Breakpoint tables: over column k of the level-i grid the graph of f is the
 affine image y = y_k + (y_{k+1} - y_k) f(t) of the whole graph, and
@@ -38,9 +40,10 @@ from typing import Iterator
 from .errors import ConsistencyError, OrderError, ParameterError
 from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
 from .ternary import (
-    balanced_product,
+    antiperiodic_half,
     check_index,
     check_unit_interval,
+    compose_digits,
     to_ternary,
 )
 
@@ -89,28 +92,37 @@ def eval_F_exact(x) -> Fraction:
 
     With m preperiod digits read as the base-3 integer P, the periodic tail
     is t* = 3**m x - P: for x = a/q that is a/q' mod 1 (1 for x = 1), with q'
-    the 3-free part of q.  The t-row of the period composite must fix t*; the
-    G-row at t = t* fixes G*.  The preperiod composite carries (t*, G*) to
-    (t, 2 F(x)), and t must be x.
+    the 3-free part of q.  Period and preperiod are composed from six-digit
+    block leaves (``compose_digits``).  The t-row of the period composite
+    must fix t*; the G-row at t = t* fixes G*.  When the period is w followed by its
+    digit complement, the tail after w is 1 - t*, and F(1 - t) = F(t) + 1/2 - t
+    reads G(1 - t*) = G* + 1 - 2 t*; so only w is composed, its t-row must
+    send 1 - t* to t*, and G* = (p + q + r - (p + 2q) t*)/(d - q).  The
+    preperiod composite carries (t*, G*) to (t, 2 F(x)), and t must be x.
     """
     x = check_unit_interval(x)
     e = to_ternary(x)
     tn, gn, den = 0, 0, 1  # the pair (t, G) = (tn, gn)/den
+    leaves = (_JOINT_LEAF[0], _JOINT_LEAF[1], _JOINT_LEAF[2])
     if e.period:
-        ts, tb, p, q, r, d = balanced_product(
-            [_JOINT_LEAF[k] for k in e.period], _compose_joint
-        )
+        period = bytes(e.period)
+        half = antiperiodic_half(period)
+        ts, tb, p, q, r, d = compose_digits(half or period, _compose_joint, leaves)
         q_free = x.denominator // 3 ** len(e.preperiod)
         t_num = x.numerator % q_free or q_free  # t* = t_num / q_free
-        if tb * q_free != t_num * (d - ts):
-            raise ConsistencyError("joint closure disagrees with the tail value")
-        # G* = (p t* + r)/(d - q), over the common denominator of t* and G*
+        # (t*, G*) = (tn, gn)/den, over the common denominator of t* and G*
         den = q_free * (d - q)
-        tn, gn = t_num * (d - q), p * t_num + r * q_free
+        tn = t_num * (d - q)
+        if half:
+            fixes_tail = ts * (q_free - t_num) + tb * q_free == d * t_num
+            gn = (p + q + r) * q_free - (p + 2 * q) * t_num
+        else:
+            fixes_tail = tb * q_free == t_num * (d - ts)
+            gn = p * t_num + r * q_free
+        if not fixes_tail:
+            raise ConsistencyError("joint closure disagrees with the tail value")
     if e.preperiod:
-        ts, tb, p, q, r, d = balanced_product(
-            [_JOINT_LEAF[k] for k in e.preperiod], _compose_joint
-        )
+        ts, tb, p, q, r, d = compose_digits(bytes(e.preperiod), _compose_joint, leaves)
         tn, gn, den = ts * tn + tb * den, p * tn + q * gn + r * den, d * den
     if tn * x.denominator != x.numerator * den:
         raise ConsistencyError("the preperiod walk does not end at x")

@@ -5,7 +5,8 @@ Everything downstream is built from the objects here, over the stdlib
 
 * ``TernaryExpansion`` -- the eventually periodic base-3 expansion of a
   rational in [0, 1], held in a canonical form so each rational has exactly
-  one representation.
+  one representation.  ``to_ternary`` reads it by long division by 3**6,
+  six digits per step.
 * ``AffineMap`` -- maps v -> slope * v + intercept over the rationals, with
   exact composition and fixed points.
 * ``balanced_product`` -- the one product tree that every chain of digit
@@ -14,7 +15,11 @@ Everything downstream is built from the objects here, over the stdlib
 * ``close_chain`` -- the one closure that turns an expansion into a value
   under digit maps given as integer triples: f and f_a through theirs, and
   the expansion's own value through v -> (v + d)/3, the maps of the family
-  member a = 1/3, whose limit function is the identity.
+  member a = 1/3, whose limit function is the identity.  Periods are
+  composed from cached six-digit block leaves (``compose_digits``).  A period
+  is antiperiodic when 3**(L/2) = -1 mod q': its second half is then the
+  digit complement (0 <-> 2) of the first (``antiperiodic_half``), and
+  f(1 - t) = 1 - f(t) closes it from the first half alone.
 
 No floating point is used anywhere in this module.
 """
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -36,6 +43,9 @@ from .errors import (
 
 _DIGITS = frozenset((0, 1, 2))
 MAX_PERIOD_DIGITS = 2_000_000
+# the six base-3 digits of each n < 3**6, most significant first, as bytes
+_SIX_DIGITS = tuple(map(bytes, product(range(3), repeat=6)))
+_COMPLEMENT = bytes.maketrans(b"\x00\x02", b"\x02\x00")
 
 
 def _as_rational(x) -> Fraction:
@@ -132,9 +142,16 @@ def to_ternary(x) -> TernaryExpansion:
     ``divmod`` splits 3**v * x = p/q' into whole + start/q': the preperiod is
     the v base-3 digits of whole (< 3**v), read by v divmods by 3 from the low
     end, and start/q' is the purely periodic tail.  Its period is read off by
-    base-3 long division until the remainder returns to start -- at most q'
-    steps, and the block found is automatically minimal.  A period over
-    MAX_PERIOD_DIGITS digits raises ``ResourceLimitError`` during that division.
+    long division by 3**6, six digits per ``divmod``, until the remainder
+    returns to start -- at most q' digits, and the block found is
+    automatically minimal.  The remainder after k digits is start * 3**k mod
+    q', so one dict lookup per block, keyed by start * 3**e for e = 0 .. 5,
+    finds where in the block the period ended.  The same dict holds
+    q' - start: if the remainder reaches it after h digits, the tail there is
+    1 - start/q', so the period is antiperiodic, of 2h digits, and its second
+    half is the digit complement (0 <-> 2) of the first.  A period over
+    MAX_PERIOD_DIGITS digits (the full period, not its half) raises
+    ``ResourceLimitError`` during that division.
     """
     r = check_unit_interval(x)
     if r == 1:
@@ -148,17 +165,33 @@ def to_ternary(x) -> TernaryExpansion:
     pre = [0] * v
     for k in reversed(range(v)):
         whole, pre[k] = divmod(whole, 3)
-    per: list[int] = []
+    per = b""
     if start:
+        # remainder -> (digits past the event, whether the event is the half period);
+        # the largest e is the earliest event in a block, and a full-period event
+        # wins a tie (only q' = 2, where start = q' - start)
+        ends = {}
+        full, half = start, q_free - start
+        for e in range(6):
+            ends[half] = (e, True)
+            ends[full] = (e, False)
+            full, half = full * 3 % q_free, half * 3 % q_free
+        cap = MAX_PERIOD_DIGITS
+        blocks = []
         num = start
-        for _ in range(MAX_PERIOD_DIGITS):
-            num *= 3
-            d, num = divmod(num, q_free)
-            per.append(d)
-            if num == start:
+        for _ in range(cap // 6 + 1):
+            blk, num = divmod(num * 729, q_free)
+            blocks.append(blk)
+            if num in ends:
                 break
         else:
-            raise ResourceLimitError(f"base-3 period over the cap of {MAX_PERIOD_DIGITS} digits")
+            raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
+        past, antiperiodic = ends[num]
+        per = b"".join(map(_SIX_DIGITS.__getitem__, blocks))[: 6 * len(blocks) - past]
+        if antiperiodic:
+            per += per.translate(_COMPLEMENT)
+        if len(per) > cap:
+            raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
     return TernaryExpansion(pre, per)
 
 
@@ -245,6 +278,44 @@ def compose_triples(outer, inner):
     return (so * si, so * bi + bo * di, do * di)
 
 
+class _BlockLeaves(dict):
+    """Composites of digit maps, keyed by their digits as bytes and built on
+    first use: w maps to leaves[w[0]] o ... o leaves[w[-1]], with
+    ``leaves[d]`` the map of digit d and ``compose(outer, inner)`` composing
+    two maps.  A block is composed from its two memoized halves, so one of
+    six digits costs one ``compose`` once its halves are known."""
+
+    def __init__(self, compose: Callable, leaves: tuple) -> None:
+        self.compose, self.leaves = compose, leaves
+
+    def __missing__(self, w: bytes):
+        h = len(w) // 2
+        m = self[w] = self.compose(self[w[:h]], self[w[h:]]) if h else self.leaves[w[0]]
+        return m
+
+
+# tables of the last few (compose, leaves) pairs: they do not pile up over family
+# parameters, and each holds at most the 1,092 blocks of one to six digits
+_block_leaves = lru_cache(maxsize=4)(_BlockLeaves)
+
+
+def compose_digits(digits: bytes, compose: Callable, leaves: tuple):
+    """leaves[digits[0]] o ... o leaves[digits[-1]] for nonempty ``digits``:
+    the ``balanced_product`` of one precomposed leaf per six-digit block, the
+    last block holding what is left."""
+    blocks = _block_leaves(compose, leaves)
+    return balanced_product([blocks[digits[k:k + 6]] for k in range(0, len(digits), 6)], compose)
+
+
+def antiperiodic_half(period: bytes) -> bytes:
+    """The first half w of a period that is w followed by its digit complement
+    (0 <-> 2), so the tail after w is 1 - t for the periodic tail t; else b""."""
+    h, odd = divmod(len(period), 2)
+    if odd or period[h:] != period[:h].translate(_COMPLEMENT):
+        return b""
+    return period[:h]
+
+
 def close_chain(e: TernaryExpansion, triples: dict[int, tuple[int, int, int]]) -> Fraction:
     """Value at the point with expansion e of the function whose digit maps are ``triples``.
 
@@ -252,17 +323,31 @@ def close_chain(e: TernaryExpansion, triples: dict[int, tuple[int, int, int]]) -
     digit d applies to the tail value.  The period composite must contract;
     its unique fixed point is the periodic tail value (0 for a terminating
     expansion), which the preperiod composite carries to the point.  Both
-    composites are unreduced triples from ``balanced_product``, so the one
-    gcd is in the final Fraction, which matters for periods of many digits.
+    are unreduced triples from six-digit block leaves (``compose_digits``),
+    so the one gcd is in the final Fraction, which matters for periods of
+    many digits.
+
+    Half-period closure: when digit 2's map is digit 0's conjugated by
+    c(v) = 1 - v and digit 1's map commutes with c (true of every f_a), the
+    function satisfies f(1 - t) = 1 - f(t).  If the period is then w
+    followed by the complement of w, only w is composed, to (s, b, d): the
+    tail value y solves y = (s (1 - y) + b)/d, so y = (s + b)/(d + s), over
+    half the digits of the full composite.
     """
+    leaves = (triples[0], triples[1], triples[2])
     num, den = 0, 1  # the tail value num/den
     if e.period:
-        s, b, d = balanced_product([triples[k] for k in e.period], compose_triples)
+        (s0, b0, d0), (s1, b1, d1) = leaves[:2]
+        period = bytes(e.period)
+        half = b""
+        if leaves[2] == (s0, d0 - s0 - b0, d0) and 2 * b1 == d1 - s1:
+            half = antiperiodic_half(period)
+        s, b, d = compose_digits(half or period, compose_triples, leaves)
         if not -d < s < d:
             raise ConsistencyError("period map is not a contraction")
-        num, den = b, d - s
+        num, den = (s + b, d + s) if half else (b, d - s)
     if e.preperiod:
-        s, b, d = balanced_product([triples[k] for k in e.preperiod], compose_triples)
+        s, b, d = compose_digits(bytes(e.preperiod), compose_triples, leaves)
         num, den = s * num + b * den, d * den
     return Fraction(num, den)
 

@@ -185,8 +185,9 @@ class TestEvalFExact:
     @pytest.mark.parametrize(
         "x,message",
         [
-            (F(1, 7), "joint closure disagrees with the tail value"),  # period 010212
+            (F(1, 7), "joint closure disagrees with the tail value"),  # period 010212: half route
             (F(1, 3), "the preperiod walk does not end at x"),  # terminating: 0.1
+            (F(2, 13), "joint closure disagrees with the tail value"),  # period 011: full route
         ],
     )
     def test_corrupted_t_row_is_caught(self, monkeypatch, x, message):

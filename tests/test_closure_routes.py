@@ -1,0 +1,187 @@
+"""Block and half-period closures against digit-by-digit references.
+
+``to_ternary`` reads periods six digits at a time, and the closures of f,
+f_a, F and ``from_ternary`` compose six-digit block leaves, over half the
+period when its second half is the digit complement of the first.  The
+references here walk one digit at a time:
+
+* f, f_a and ``from_ternary``: ``compose_chain`` over one ``AffineMap`` per
+  digit, and ``affine_fixed_point`` for the periodic tail;
+* F: a ``Fraction`` walk of the (t, F) maps read off the scaling identities
+  of F, one digit at a time, then the fixed point of the period composite.
+
+The denominators cover both kinds of period (antiperiodic, when 3**(L/2) is
+-1 mod q', and not) at every L mod 6, with preperiods of 0 to 3 digits.
+"""
+
+from fractions import Fraction
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from bourbaki.antiderivative import eval_F_exact
+from bourbaki.function import FamilyParam, digit_step_map, eval_exact
+from bourbaki.ternary import (
+    AffineMap,
+    affine_fixed_point,
+    antiperiodic_half,
+    close_chain,
+    compose_chain,
+    from_ternary,
+    to_ternary,
+)
+
+F = Fraction
+
+# q' -> (period length L, antiperiodic); L mod 6 takes every value 0 .. 5.
+PERIODS = {
+    7: (6, True), 91: (6, False), 73: (12, True), 65: (12, False), 19: (18, True),
+    2: (1, False), 1093: (7, False),
+    4: (2, True), 8: (2, False), 41: (8, True), 547: (14, True),
+    13: (3, False), 757: (9, False),
+    5: (4, True), 40: (4, False), 61: (10, True), 17: (16, True),
+    11: (5, False), 23: (11, False),
+}
+
+
+def _full_period_primes(limit: int) -> list[int]:
+    """Primes p in (3, limit] with 3 a primitive root mod p: one period of p - 1 digits."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for k in range(2, math.isqrt(limit) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(sieve[k * k::k]))
+    out = []
+    for p in range(5, limit + 1):
+        if sieve[p]:
+            n, factors = p - 1, set()
+            for k in range(2, math.isqrt(n) + 1):
+                while n % k == 0:
+                    factors.add(k)
+                    n //= k
+            factors.add(n)
+            if all(pow(3, (p - 1) // r, p) != 1 for r in factors if r > 1):
+                out.append(p)
+    return out
+
+
+FULL_PERIOD_PRIMES = _full_period_primes(5 * 10**4)
+
+
+def _points(q_free):
+    """x = (P + start/q')/3**m for m <= 3 preperiod digits P and start coprime to q'."""
+    return st.tuples(
+        q_free, st.integers(0, 3), st.integers(0, 26), st.integers(1, 5 * 10**4)
+    ).map(lambda t: _point(*t))
+
+
+def _point(qp: int, m: int, pre: int, start: int) -> Fraction:
+    start = start % qp
+    while qp > 1 and math.gcd(start, qp) != 1:
+        start += 1
+    return (pre % 3**m + F(start, qp)) / 3**m
+
+
+listed_points = _points(st.sampled_from(sorted(PERIODS)))
+small_points = _points(st.integers(1, 3000).filter(lambda n: n % 3))
+long_points = _points(st.sampled_from(FULL_PERIOD_PRIMES))
+params = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(
+    lambda a: 0 < a < 1
+).map(FamilyParam)
+
+
+def reference_close(e, step) -> Fraction:
+    """The value at e under the digit maps ``step(d)``, one AffineMap per digit."""
+    v = affine_fixed_point(compose_chain([step(d) for d in e.period])) if e.period else F(0)
+    return compose_chain([step(d) for d in e.preperiod])(v)
+
+
+def _base3_step(d: int) -> AffineMap:
+    return AffineMap(F(1, 3), F(d, 3))
+
+
+# F(point) = alpha t + beta F(t) + gamma for the tail t after one digit:
+# F(t/3) = (2/9) F(t), F((1 + t)/3) = (1 + 2t - F(t))/9,
+# F((2 + t)/3) = (5/2 + t)/9 + (2/9) F(t).
+_F_ROWS = {0: (F(0), F(2, 9), F(0)), 1: (F(2, 9), F(-1, 9), F(1, 9)), 2: (F(1, 9), F(2, 9), F(5, 18))}
+
+
+def reference_F(x: Fraction) -> Fraction:
+    """F(x) by a digit-at-a-time Fraction walk of the (t, F) maps."""
+
+    def walk(digits):
+        # composite (t, F) -> (A t + B, P t + Q F + R), extended one inner digit at a time
+        A, B, P, Q, R = F(1), F(0), F(0), F(1), F(0)
+        for d in digits:
+            alpha, beta, gamma = _F_ROWS[d]
+            A, B, P, Q, R = A / 3, B + A * d / 3, P / 3 + Q * alpha, Q * beta, R + P * d / 3 + Q * gamma
+        return A, B, P, Q, R
+
+    e = to_ternary(x)
+    t, v = F(0), F(0)
+    if e.period:
+        A, B, P, Q, R = walk(e.period)
+        t = B / (1 - A)
+        v = (P * t + R) / (1 - Q)
+    A, B, P, Q, R = walk(e.preperiod)
+    assert A * t + B == x
+    return P * t + Q * v + R
+
+
+class TestPeriodKinds:
+    @pytest.mark.parametrize("qp", sorted(PERIODS))
+    def test_listed_periods(self, qp):
+        L, anti = PERIODS[qp]
+        assert pow(3, L, qp) == 1 % qp
+        assert all(pow(3, k, qp) != 1 for k in range(1, L))
+        assert anti == (L % 2 == 0 and pow(3, L // 2, qp) == qp - 1)
+        period = bytes(to_ternary(F(1, qp)).period)
+        assert len(period) == L
+        assert bool(antiperiodic_half(period)) == anti
+
+    def test_every_residue_of_L_mod_6_in_both_kinds(self):
+        kinds = {(L % 6, anti) for L, anti in PERIODS.values()}
+        assert {r for r, _ in kinds} == set(range(6))
+        assert {r for r, anti in kinds if not anti} == set(range(6))
+
+    def test_full_period_prime_list(self):
+        assert FULL_PERIOD_PRIMES[:6] == [5, 7, 17, 19, 29, 31]
+        assert FULL_PERIOD_PRIMES[-1] < 5 * 10**4 < FULL_PERIOD_PRIMES[-1] + 100
+
+
+class TestRoutesAgree:
+    @given(listed_points | small_points, params)
+    @settings(deadline=None, max_examples=200)
+    @example(F(1), FamilyParam(F(2, 3)))
+    @example(F(0), FamilyParam(F(2, 3)))
+    def test_short_periods(self, x, param):
+        e = to_ternary(x)
+        assert eval_exact(x) == reference_close(e, digit_step_map)
+        assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param))
+        assert from_ternary(e) == reference_close(e, _base3_step) == x
+        assert eval_F_exact(x) == reference_F(x)
+
+    @given(long_points, params)
+    @settings(deadline=None, max_examples=5)
+    def test_full_period_primes(self, x, param):
+        # every period here is antiperiodic, of up to 5 * 10**4 digits
+        e = to_ternary(x)
+        assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param))
+        assert from_ternary(e) == x
+
+    @pytest.mark.parametrize("x", [F(2, 9 * 1999), F(5, 3 * 3041)])
+    def test_F_at_long_antiperiodic_periods(self, x):
+        # periods of 1998 and 3040 digits, after 2 and 1 preperiod digits
+        assert eval_F_exact(x) == reference_F(x)
+
+    @pytest.mark.parametrize("x", [F(1, 7), F(5, 3 * 17), F(2, 13), F(1, 91), F(3, 40)])
+    def test_asymmetric_maps_close_the_full_period(self, x):
+        # Digit 2's map is not digit 0's conjugated by v -> 1 - v, so the
+        # half-period closure does not apply and the full period is composed.
+        triples = {0: (1, 0, 2), 1: (-1, 2, 5), 2: (1, 1, 4)}
+        e = to_ternary(x)
+        expected = reference_close(e, lambda d: AffineMap(F(triples[d][0], triples[d][2]),
+                                                          F(triples[d][1], triples[d][2])))
+        assert close_chain(e, triples) == expected
+

@@ -127,6 +127,17 @@ class TestToTernary:
         with pytest.raises(ResourceLimitError):
             to_ternary(Fraction(1, 17))
 
+    @pytest.mark.parametrize("cap,passes", [(16, True), (15, False), (10, False)])
+    def test_period_budget_bounds_the_full_period(self, monkeypatch, cap, passes):
+        # 1/17 has a period of 16 digits, the complement of its first 8 doubled;
+        # at cap 10 only the half of the period would fit
+        monkeypatch.setattr(ternary, "MAX_PERIOD_DIGITS", cap)
+        if passes:
+            assert len(to_ternary(Fraction(1, 17)).period) == 16
+        else:
+            with pytest.raises(ResourceLimitError):
+                to_ternary(Fraction(1, 17))
+
     @pytest.mark.parametrize("x", [True, False, 0.5])
     def test_unit_interval_rejects_inexact_types(self, x):
         with pytest.raises(DomainError):
