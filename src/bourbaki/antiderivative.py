@@ -69,9 +69,9 @@ def build_F_iterate(i: int) -> BreakpointTable:
     return _integrate(build_iterate(i))
 
 
-# Joint digit maps as integer 6-tuples (ts, tb, p, q, r, den):
+# Joint maps of digits 0, 1 and 2 as integer 6-tuples (ts, tb, p, q, r, den):
 # t' = (ts t + tb)/den and G' = (p t + q G + r)/den, with G = 2 F.
-_JOINT_LEAF = {0: (3, 0, 0, 2, 0, 9), 1: (3, 3, 4, -1, 2, 9), 2: (3, 6, 2, 2, 5, 9)}
+_JOINT_LEAF = ((3, 0, 0, 2, 0, 9), (3, 3, 4, -1, 2, 9), (3, 6, 2, 2, 5, 9))
 
 
 def _compose_joint(outer, inner):
@@ -103,11 +103,9 @@ def eval_F_exact(x) -> Fraction:
     x = check_unit_interval(x)
     e = to_ternary(x)
     tn, gn, den = 0, 0, 1  # the pair (t, G) = (tn, gn)/den
-    leaves = (_JOINT_LEAF[0], _JOINT_LEAF[1], _JOINT_LEAF[2])
     if e.period:
-        period = bytes(e.period)
-        half = antiperiodic_half(period)
-        ts, tb, p, q, r, d = compose_digits(half or period, _compose_joint, leaves)
+        half = antiperiodic_half(e.period)
+        ts, tb, p, q, r, d = compose_digits(half or e.period, _compose_joint, _JOINT_LEAF)
         q_free = x.denominator // 3 ** len(e.preperiod)
         t_num = x.numerator % q_free or q_free  # t* = t_num / q_free
         # (t*, G*) = (tn, gn)/den, over the common denominator of t* and G*
@@ -122,7 +120,7 @@ def eval_F_exact(x) -> Fraction:
         if not fixes_tail:
             raise ConsistencyError("joint closure disagrees with the tail value")
     if e.preperiod:
-        ts, tb, p, q, r, d = compose_digits(bytes(e.preperiod), _compose_joint, leaves)
+        ts, tb, p, q, r, d = compose_digits(e.preperiod, _compose_joint, _JOINT_LEAF)
         tn, gn, den = ts * tn + tb * den, p * tn + q * gn + r * den, d * den
     if tn * x.denominator != x.numerator * den:
         raise ConsistencyError("the preperiod walk does not end at x")

@@ -191,10 +191,10 @@ def digit_step_map(d: int, param: FamilyParam = CLASSICAL) -> AffineMap:
     return AffineMap(a, 1 - a)
 
 
-def _digit_triples(param: FamilyParam) -> dict[int, tuple[int, int, int]]:
-    """``digit_step_map`` as integer triples (s, b, q): v -> (s v + b)/q for a = p/q."""
+def _digit_triples(param: FamilyParam) -> tuple[tuple[int, int, int], ...]:
+    """``digit_step_map`` of digits 0, 1, 2 as triples (s, b, q): v -> (s v + b)/q, a = p/q."""
     p, q = param.a.numerator, param.a.denominator
-    return {0: (p, 0, q), 1: (q - 2 * p, p, q), 2: (p, q - p, q)}
+    return ((p, 0, q), (q - 2 * p, p, q), (p, q - p, q))
 
 
 def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:

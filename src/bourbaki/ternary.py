@@ -5,21 +5,25 @@ Everything downstream is built from the objects here, over the stdlib
 
 * ``TernaryExpansion`` -- the eventually periodic base-3 expansion of a
   rational in [0, 1], held in a canonical form so each rational has exactly
-  one representation.  ``to_ternary`` reads it by long division by 3**6,
-  six digits per step.
+  one representation.  Preperiod and period are ``bytes`` of the digit
+  values 0, 1 and 2, the one digit format from ``to_ternary`` to every
+  closure; ``check_digits``, the one test of a digit, returns that form.
+  ``to_ternary`` reads the period by long division by 3**6, six digits per
+  step, and the preperiod by recursive halving.
 * ``AffineMap`` -- maps v -> slope * v + intercept over the rationals, with
   exact composition and fixed points.
 * ``balanced_product`` -- the one product tree that every chain of digit
   maps is composed with, over ``AffineMap``s here and over unreduced integer
   tuples in the evaluators.
 * ``close_chain`` -- the one closure that turns an expansion into a value
-  under digit maps given as integer triples: f and f_a through theirs, and
-  the expansion's own value through v -> (v + d)/3, the maps of the family
-  member a = 1/3, whose limit function is the identity.  Periods are
-  composed from cached six-digit block leaves (``compose_digits``).  A period
-  is antiperiodic when 3**(L/2) = -1 mod q': its second half is then the
-  digit complement (0 <-> 2) of the first (``antiperiodic_half``), and
-  f(1 - t) = 1 - f(t) closes it from the first half alone.
+  under digit maps given as a tuple of integer triples indexed by the
+  digit: f and f_a through theirs, and the expansion's own value through
+  v -> (v + d)/3, the maps of the family member a = 1/3, whose limit
+  function is the identity.  Periods are composed from cached six-digit
+  block leaves (``compose_digits``).  A period is antiperiodic when
+  3**(L/2) = -1 mod q': its second half is then the digit complement
+  (0 <-> 2) of the first (``antiperiodic_half``), and f(1 - t) = 1 - f(t)
+  closes it from the first half alone.
 
 No floating point is used anywhere in this module.
 """
@@ -41,10 +45,9 @@ from .errors import (
     SingularMapError,
 )
 
-_DIGITS = frozenset((0, 1, 2))
 MAX_PERIOD_DIGITS = 2_000_000
 # the six base-3 digits of each n < 3**6, most significant first, as bytes
-_SIX_DIGITS = tuple(map(bytes, product(range(3), repeat=6)))
+_SIX_DIGIT_BLOCKS = tuple(map(bytes, product(range(3), repeat=6)))
 _COMPLEMENT = bytes.maketrans(b"\x00\x02", b"\x02\x00")
 
 
@@ -73,18 +76,19 @@ def check_index(i, what: str = "level", low: int = 0, cap: int | None = None) ->
     return i
 
 
-def check_digits(digits, what: str = "digits") -> tuple[int, ...]:
+def check_digits(digits, what: str = "digits") -> bytes:
     """The one test of what a base-3 digit is: the ints 0, 1 and 2.
 
-    Takes any iterable and returns its digits as a tuple.  Bools, floats and
-    strings are rejected even where they compare equal to a digit, and so is
-    a non-iterable; each raises ``DigitError``.
+    Takes ``bytes`` or any iterable of ints and returns the digits as
+    ``bytes`` of the values 0, 1 and 2.  Bools, floats and strings are
+    rejected even where they compare equal to a digit, and so is a
+    non-iterable; each raises ``DigitError``.
     """
     try:
-        ds = tuple(digits)
-    except TypeError:
-        raise DigitError(f"{what} must be an iterable of base-3 digits, got {digits!r}") from None
-    if not {int}.issuperset(map(type, ds)) or not _DIGITS.issuperset(ds):
+        ds = digits if type(digits) is bytes else bytes(d if type(d) is int else -1 for d in digits)
+    except (TypeError, ValueError):
+        ds = None
+    if ds is None or ds.translate(None, b"\x00\x01\x02"):
         raise DigitError(f"{what} must be the ints 0, 1 and 2")
     return ds
 
@@ -93,7 +97,8 @@ def check_digits(digits, what: str = "digits") -> tuple[int, ...]:
 class TernaryExpansion:
     """Canonical eventually periodic base-3 expansion of a rational in [0, 1].
 
-    Digits are the ints 0, 1 and 2, never floats or bools.  Canonical form:
+    Digits are ``bytes`` of the values 0, 1 and 2, taken through
+    ``check_digits`` from any iterable of those ints.  Canonical form:
 
     * empty period means the expansion terminates, and then the preperiod
       does not end in 0;
@@ -101,11 +106,11 @@ class TernaryExpansion:
     * the last preperiod digit differs from the last period digit (otherwise
       the preperiod could be shortened);
     * an all-2 tail only appears as the representation of 1 itself, which is
-      the empty preperiod with period (2,).
+      the empty preperiod with period b"\x02".
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    preperiod: bytes
+    period: bytes
 
     def __post_init__(self) -> None:
         pre = check_digits(self.preperiod, "preperiod")
@@ -117,12 +122,11 @@ class TernaryExpansion:
                 raise DigitError("a periodic tail of zeros must be the empty period")
             # w is a power of a shorter block iff w occurs in ww at 0 < k < |w|
             # (Lyndon-Schuetzenberger); bytes.find makes that a linear scan.
-            b = bytes(per)
-            if (b + b).find(b, 1) != len(b):
+            if (per + per).find(per, 1) != len(per):
                 raise DigitError("period is not minimal")
             if pre and pre[-1] == per[-1]:
                 raise DigitError("preperiod is not minimal (rotate the period instead)")
-            if per == (2,) and pre:
+            if per == b"\x02" and pre:
                 raise DigitError("an all-2 tail is only canonical for the value 1")
         elif pre and pre[-1] == 0:
             raise DigitError("terminating expansion must not end in digit 0")
@@ -135,36 +139,73 @@ class TernaryExpansion:
                 yield from self.period
 
 
+def _split_threes(q: int) -> tuple[int, int]:
+    """(v, q / 3**v) for the largest v with 3**v dividing q.
+
+    Divides out 3, 3**2, 3**4, ... while they divide, then tries the same
+    squares again from the largest down: about 2 log2(v) divisions, not v.
+    A v over MAX_PERIOD_DIGITS raises ``ResourceLimitError``, found first by
+    one division by 3**(cap + 1) when q is large enough to allow it.
+    """
+    cap = MAX_PERIOD_DIGITS
+    # 3**(cap + 1) has more than 1.5 (cap + 1) bits, so no smaller q has it as a factor
+    if q.bit_length() > 3 * (cap + 1) // 2 and not q % 3 ** (cap + 1):
+        raise ResourceLimitError(f"base-3 preperiod over the cap of {cap} digits")
+    squares, square = [], 3
+    while True:
+        quo, rem = divmod(q, square)
+        if rem:
+            break
+        q = quo
+        squares.append(square)
+        square *= square
+    v = (1 << len(squares)) - 1
+    for k in reversed(range(len(squares))):
+        quo, rem = divmod(q, squares[k])
+        if not rem:
+            q, v = quo, v + (1 << k)
+    return v, q
+
+
+def _base3_digits(n: int, width: int) -> bytes:
+    """The ``width`` base-3 digits of n < 3**width, most significant first.
+
+    Recursive halving: one ``divmod`` by 3**(width // 2) splits off the low
+    half, down to blocks of at most six digits, so a long string costs a few
+    full-size divisions per halving level rather than one per digit.
+    """
+    if width <= 6:
+        return _SIX_DIGIT_BLOCKS[n][6 - width:]
+    h = width // 2
+    hi, lo = divmod(n, 3**h)
+    return _base3_digits(hi, width - h) + _base3_digits(lo, h)
+
+
 def to_ternary(x) -> TernaryExpansion:
     """Canonical base-3 expansion of a rational in [0, 1].
 
-    Write the reduced x = p/q with q = 3**v * q' and q' coprime to 3.  One
-    ``divmod`` splits 3**v * x = p/q' into whole + start/q': the preperiod is
-    the v base-3 digits of whole (< 3**v), read by v divmods by 3 from the low
-    end, and start/q' is the purely periodic tail.  Its period is read off by
-    long division by 3**6, six digits per ``divmod``, until the remainder
-    returns to start -- at most q' digits, and the block found is
-    automatically minimal.  The remainder after k digits is start * 3**k mod
-    q', so one dict lookup per block, keyed by start * 3**e for e = 0 .. 5,
-    finds where in the block the period ended.  The same dict holds
-    q' - start: if the remainder reaches it after h digits, the tail there is
-    1 - start/q', so the period is antiperiodic, of 2h digits, and its second
-    half is the digit complement (0 <-> 2) of the first.  A period over
-    MAX_PERIOD_DIGITS digits (the full period, not its half) raises
-    ``ResourceLimitError`` during that division.
+    Write the reduced x = p/q with q = 3**v * q' and q' coprime to 3
+    (``_split_threes``).  One ``divmod`` splits 3**v * x = p/q' into
+    whole + start/q': the preperiod is the v base-3 digits of whole
+    (< 3**v, ``_base3_digits``), and start/q' is the purely periodic tail.
+    A preperiod over MAX_PERIOD_DIGITS digits raises ``ResourceLimitError``
+    before any digit is read.  The period is read off by long division by
+    3**6, six digits per ``divmod``, until the remainder returns to start --
+    at most q' digits, and the block found is automatically minimal.  The
+    remainder after k digits is start * 3**k mod q', so one dict lookup per
+    block, keyed by start * 3**e for e = 0 .. 5, finds where in the block the
+    period ended.  The same dict holds q' - start: if the remainder reaches it
+    after h digits, the tail there is 1 - start/q', so the period is
+    antiperiodic, of 2h digits, and its second half is the digit complement
+    (0 <-> 2) of the first.  A period over MAX_PERIOD_DIGITS digits (the full
+    period, not its half) raises ``ResourceLimitError`` during that division.
     """
     r = check_unit_interval(x)
     if r == 1:
-        return TernaryExpansion((), (2,))
-    p, q_free = r.numerator, r.denominator
-    v = 0
-    while q_free % 3 == 0:
-        q_free //= 3
-        v += 1
-    whole, start = divmod(p, q_free)
-    pre = [0] * v
-    for k in reversed(range(v)):
-        whole, pre[k] = divmod(whole, 3)
+        return TernaryExpansion(b"", b"\x02")
+    v, q_free = _split_threes(r.denominator)
+    whole, start = divmod(r.numerator, q_free)
+    pre = _base3_digits(whole, v)
     per = b""
     if start:
         # remainder -> (digits past the event, whether the event is the half period);
@@ -187,7 +228,7 @@ def to_ternary(x) -> TernaryExpansion:
         else:
             raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
         past, antiperiodic = ends[num]
-        per = b"".join(map(_SIX_DIGITS.__getitem__, blocks))[: 6 * len(blocks) - past]
+        per = b"".join(map(_SIX_DIGIT_BLOCKS.__getitem__, blocks))[: 6 * len(blocks) - past]
         if antiperiodic:
             per += per.translate(_COMPLEMENT)
         if len(per) > cap:
@@ -268,7 +309,7 @@ def affine_fixed_point(m: AffineMap) -> Fraction:
     return m.intercept / (1 - m.slope)
 
 
-_BASE3_TRIPLES = {0: (1, 0, 3), 1: (1, 1, 3), 2: (1, 2, 3)}
+_BASE3_TRIPLES = ((1, 0, 3), (1, 1, 3), (1, 2, 3))
 
 
 def compose_triples(outer, inner):
@@ -316,10 +357,10 @@ def antiperiodic_half(period: bytes) -> bytes:
     return period[:h]
 
 
-def close_chain(e: TernaryExpansion, triples: dict[int, tuple[int, int, int]]) -> Fraction:
-    """Value at the point with expansion e of the function whose digit maps are ``triples``.
+def close_chain(e: TernaryExpansion, leaves: tuple) -> Fraction:
+    """Value at the point with expansion e of the function whose digit maps are ``leaves``.
 
-    ``triples[d]`` = (s, b, q) is the map v -> (s v + b)/q that prepending
+    ``leaves[d]`` = (s, b, q) is the map v -> (s v + b)/q that prepending
     digit d applies to the tail value.  The period composite must contract;
     its unique fixed point is the periodic tail value (0 for a terminating
     expansion), which the preperiod composite carries to the point.  Both
@@ -334,20 +375,18 @@ def close_chain(e: TernaryExpansion, triples: dict[int, tuple[int, int, int]]) -
     tail value y solves y = (s (1 - y) + b)/d, so y = (s + b)/(d + s), over
     half the digits of the full composite.
     """
-    leaves = (triples[0], triples[1], triples[2])
     num, den = 0, 1  # the tail value num/den
     if e.period:
         (s0, b0, d0), (s1, b1, d1) = leaves[:2]
-        period = bytes(e.period)
         half = b""
         if leaves[2] == (s0, d0 - s0 - b0, d0) and 2 * b1 == d1 - s1:
-            half = antiperiodic_half(period)
-        s, b, d = compose_digits(half or period, compose_triples, leaves)
+            half = antiperiodic_half(e.period)
+        s, b, d = compose_digits(half or e.period, compose_triples, leaves)
         if not -d < s < d:
             raise ConsistencyError("period map is not a contraction")
         num, den = (s + b, d + s) if half else (b, d - s)
     if e.preperiod:
-        s, b, d = compose_digits(bytes(e.preperiod), compose_triples, leaves)
+        s, b, d = compose_digits(e.preperiod, compose_triples, leaves)
         num, den = s * num + b * den, d * den
     return Fraction(num, den)
 

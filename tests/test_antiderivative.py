@@ -192,7 +192,8 @@ class TestEvalFExact:
     )
     def test_corrupted_t_row_is_caught(self, monkeypatch, x, message):
         # Digit 1's t-row is t' = (3 t + 3)/9; shift its intercept.
-        monkeypatch.setitem(antiderivative._JOINT_LEAF, 1, (3, 4, 4, -1, 2, 9))
+        zero, _, two = antiderivative._JOINT_LEAF
+        monkeypatch.setattr(antiderivative, "_JOINT_LEAF", (zero, (3, 4, 4, -1, 2, 9), two))
         with pytest.raises(ConsistencyError, match=message):
             eval_F_exact(x)
 

@@ -136,7 +136,7 @@ class TestPeriodKinds:
         assert pow(3, L, qp) == 1 % qp
         assert all(pow(3, k, qp) != 1 for k in range(1, L))
         assert anti == (L % 2 == 0 and pow(3, L // 2, qp) == qp - 1)
-        period = bytes(to_ternary(F(1, qp)).period)
+        period = to_ternary(F(1, qp)).period
         assert len(period) == L
         assert bool(antiperiodic_half(period)) == anti
 
@@ -179,7 +179,7 @@ class TestRoutesAgree:
     def test_asymmetric_maps_close_the_full_period(self, x):
         # Digit 2's map is not digit 0's conjugated by v -> 1 - v, so the
         # half-period closure does not apply and the full period is composed.
-        triples = {0: (1, 0, 2), 1: (-1, 2, 5), 2: (1, 1, 4)}
+        triples = ((1, 0, 2), (-1, 2, 5), (1, 1, 4))
         e = to_ternary(x)
         expected = reference_close(e, lambda d: AffineMap(F(triples[d][0], triples[d][2]),
                                                           F(triples[d][1], triples[d][2])))

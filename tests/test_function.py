@@ -354,12 +354,17 @@ class TestBracketValue:
         assert lo <= F(8, 23) <= hi
         assert hi - lo <= F(2, 3) ** 40
 
-    @given(st.integers(min_value=0, max_value=80), st.integers(min_value=1, max_value=4))
-    @settings(deadline=None, max_examples=40)
-    def test_bracket_contains_exact_value(self, k, m):
-        x = F(k, 81) / m
-        lo, hi = bracket_value(x, 12)
+    @given(
+        st.builds(lambda k, m: F(k, 81) / m, st.integers(0, 80), st.integers(1, 4))
+        | st.fractions(0, 1, max_denominator=10**6),
+        st.integers(min_value=1, max_value=60),
+    )
+    @settings(deadline=None, max_examples=80)
+    @example(F(1, 7), 12)
+    def test_bracket_contains_exact_value(self, x, depth):
+        lo, hi = bracket_value(x, depth)
         assert lo <= eval_exact(x) <= hi
+        assert hi - lo <= F(2, 3) ** depth
 
     def test_depth_validated(self):
         with pytest.raises(ParameterError):

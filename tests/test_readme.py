@@ -1,9 +1,10 @@
 """README.md is checked against the code it documents.
 
 The Library section lists the public names by area; ``bourbaki.__all__``
-must hold those names and ``__version__``, and nothing more.  Every
-``$ bourbaki ...`` example in the Command line section that shows output
-prints exactly that output.
+must hold those names and ``__version__``, and nothing more.  Each line of
+its code block runs, and a line with a ``# ...`` comment evaluates to a
+value whose repr is that comment.  Every ``$ bourbaki ...`` example in the
+Command line section that shows output prints exactly that output.
 """
 
 from pathlib import Path
@@ -19,15 +20,32 @@ from bourbaki.cli import run
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_names() -> set[str]:
+def library_section() -> str:
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"Main entry points, by area:\n\n(.*?)\n\n", section, re.S)
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_names() -> set[str]:
+    block = re.search(r"Main entry points, by area:\n\n(.*?)\n\n", library_section(), re.S)
     return set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", block.group(1)))
 
 
 def test_all_is_the_library_list():
     assert library_names() == set(bourbaki.__all__) - {"__version__"}
+
+
+def test_library_code_block_shows_its_values():
+    block = re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
+    namespace: dict = {}
+    shown = 0
+    for line in filter(None, block.splitlines()):
+        code, _, value = line.partition(" # ")
+        if value:
+            assert repr(eval(code, namespace)) == value.strip(), line
+            shown += 1
+        else:
+            exec(code, namespace)
+    assert shown >= 4
 
 
 def cli_examples() -> dict[str, str]:

@@ -66,7 +66,7 @@ class TestToTernary:
     )
     def test_known_expansions(self, x, pre, per):
         e = to_ternary(x)
-        assert (e.preperiod, e.period) == (pre, per)
+        assert (e.preperiod, e.period) == (bytes(pre), bytes(per))
 
     @given(unit_fractions)
     @settings(deadline=None)
@@ -93,7 +93,7 @@ class TestToTernary:
                 q_free //= 3
             e = to_ternary(Fraction(1, q))
             if q_free == 1:
-                assert e.period == ()
+                assert e.period == b""
                 continue
             order = 1
             acc = 3 % q_free
@@ -109,9 +109,40 @@ class TestToTernary:
         start = time.perf_counter()
         e = to_ternary(x)
         elapsed = time.perf_counter() - start
-        assert e.period == ()
+        assert e.period == b""
         assert list(e.preperiod) == list(islice(digit_stream(x), v))
         assert elapsed < 3, f"to_ternary took {elapsed:.2f} s for a {v}-digit preperiod"
+
+    def test_long_preperiod_is_read_by_halving(self):
+        # 3**v is found by repeated squaring and the v digits by recursive
+        # halving; one divmod by 3 per digit would be quadratic in v
+        v = 200_000
+        x = Fraction(3**v - 2, 3**v)
+        start = time.perf_counter()
+        e = to_ternary(x)
+        elapsed = time.perf_counter() - start
+        assert e.period == b""
+        assert e.preperiod == b"\x02" * (v - 1) + b"\x01"
+        assert elapsed < 3, f"to_ternary took {elapsed:.2f} s for a {v}-digit preperiod"
+
+    @pytest.mark.parametrize("pre", [0, 1, 5, 6, 7, 13, 100])
+    def test_preperiod_digits_of_every_width(self, pre):
+        # x = (n + 1/7)/3**pre reads the pre digits of n before the period of 1/7
+        n = (3**pre - 1) * 5 // 7
+        e = to_ternary((n + Fraction(1, 7)) / 3**pre)
+        assert list(e.preperiod) == [n // 3 ** (pre - 1 - k) % 3 for k in range(pre)]
+        assert e.period == to_ternary(Fraction(1, 7)).period
+
+    def test_preperiod_budget(self, monkeypatch):
+        monkeypatch.setattr(ternary, "MAX_PERIOD_DIGITS", 6)
+        assert len(to_ternary(Fraction(1, 2 * 3**6)).preperiod) == 6
+        for x in (Fraction(1, 3**7), Fraction(1, 2 * 3**7), Fraction(5, 3**20)):
+            with pytest.raises(ResourceLimitError):
+                to_ternary(x)
+
+    def test_preperiod_budget_at_the_real_cap(self):
+        with pytest.raises(ResourceLimitError):
+            to_ternary(Fraction(1, 3 ** (ternary.MAX_PERIOD_DIGITS + 1)))
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
@@ -191,12 +222,19 @@ class TestCanonicalForm:
 
 
 class TestCheckDigits:
-    def test_returns_a_tuple(self):
-        assert check_digits([0, 1, 2]) == (0, 1, 2)
-        assert check_digits(iter((2, 0))) == (2, 0)
-        assert check_digits(()) == ()
+    def test_returns_bytes(self):
+        assert check_digits([0, 1, 2]) == b"\x00\x01\x02"
+        assert check_digits(iter((2, 0))) == b"\x02\x00"
+        assert check_digits(()) == b""
+        assert check_digits(bytearray(b"\x01")) == b"\x01"
+        assert type(check_digits(bytearray(b"\x01"))) is bytes
+        digits = b"\x02\x01"
+        assert check_digits(digits) is digits
 
-    @pytest.mark.parametrize("digits", [5, None, (True,), (0, False), (-1,), (0, 3), (1.0,), "1"])
+    @pytest.mark.parametrize(
+        "digits",
+        [5, None, (True,), (0, False), (-1,), (0, 3), (1.0,), "1", b"\x03", (256,)],
+    )
     def test_rejects(self, digits):
         with pytest.raises(DigitError):
             check_digits(digits)
