@@ -33,7 +33,6 @@ from .function import (
     bracket_value,
     build_iterate,
     closed_form_value,
-    digit_step_map,
     eval_exact,
     eval_iterate,
     ifs_refine,
@@ -88,7 +87,6 @@ __all__ = [
     "closed_form_value",
     "compose_chain",
     "cover_level",
-    "digit_step_map",
     "digit_stream",
     "dimension_estimate",
     "eval_F_exact",

@@ -1,26 +1,25 @@
 """The antiderivative F(x) = integral of the classical function over [0, x].
 
-F inherits a self-similar structure from f.  Integrating the three scaling
-identities of f gives, for a point with leading base-3 digit d and tail t:
+F inherits a self-similar structure from f.  With (s_d, b_d, q) the digit
+triples of f (``digit_triples``), f((d + t)/3) = (s_d f(t) + b_d)/q, and
+integrating over t gives, for a point with leading base-3 digit d and tail t:
 
-    digit 0:  F(t/3)       = (2/9) F(t)
-    digit 1:  F((1 + t)/3) = (1/9) (1 + 2t - F(t))
-    digit 2:  F((2 + t)/3) = (1/9) (5/2 + t) + (2/9) F(t)
+    F((d + t)/3) = F(d/3) + (s_d F(t) + b_d t)/(3q)
 
-The tail value t enters the intercepts, so every walk acts on the pair
-(t, G) with G = 2 F(t).  Over the denominator 9 each digit is then an integer
-joint affine map
+where 6q F(d/3) is the sum of s_e + 2 b_e over the digits e < d, since
+f integrates to 1/2 over [0, 1].  The tail value t enters the intercepts, so
+every walk acts on the pair (t, G) with G = 2 F(t), and each digit is an
+integer joint affine map over the denominator 3q:
 
-    t' = (3 t + 3 d)/9       G' = (p t + q G + r)/9
+    t' = (q t + q d)/(3q)       G' = (2 b_d t + s_d G + 6q F(d/3))/(3q)
 
-with (p, q, r) = (0, 2, 0), (4, -1, 2), (2, 2, 5) for d = 0, 1, 2.  The
-composite over one period, built over six-digit block leaves by
-``compose_digits`` with denominator 9**k, is contracting in each component;
-its two fixed-point equations give (t*, G*) exactly, without per-rotation
-tail values.  For an antiperiodic period (its second half the digit
-complement of the first) the composite of the first half suffices, since
-F(1 - t) = F(t) + 1/2 - t.  The preperiod composite then carries (t*, G*)
-to (x, 2 F(x)), and the one reduction is the final Fraction.
+The composite over one period, built over six-digit block leaves by
+``compose_digits``, is contracting in each component; its two fixed-point
+equations give (t*, G*) exactly, without per-rotation tail values.  For an
+antiperiodic period (its second half the digit complement of the first)
+the composite of the first half suffices, since F(1 - t) = F(t) + 1/2 - t.
+The preperiod composite then carries (t*, G*) to (x, 2 F(x)), and the one
+reduction is the final Fraction.
 
 Breakpoint tables: over column k of the level-i grid the graph of f is the
 affine image y = y_k + (y_{k+1} - y_k) f(t) of the whole graph, and
@@ -44,6 +43,7 @@ from .ternary import (
     check_index,
     check_unit_interval,
     compose_digits,
+    digit_triples,
     to_ternary,
 )
 
@@ -69,9 +69,18 @@ def build_F_iterate(i: int) -> BreakpointTable:
     return _integrate(build_iterate(i))
 
 
-# Joint maps of digits 0, 1 and 2 as integer 6-tuples (ts, tb, p, q, r, den):
-# t' = (ts t + tb)/den and G' = (p t + q G + r)/den, with G = 2 F.
-_JOINT_LEAF = ((3, 0, 0, 2, 0, 9), (3, 3, 4, -1, 2, 9), (3, 6, 2, 2, 5, 9))
+def _joint_leaves(a: Fraction) -> tuple[tuple[int, ...], ...]:
+    """Joint maps of digits 0, 1 and 2 as integer 6-tuples (ts, tb, p, q, r, den):
+    t' = (ts t + tb)/den and G' = (p t + q G + r)/den, with G = 2 F, from the
+    digit triples of f_a; r = 6q F(d/3) accumulates s_e + 2 b_e over e < d."""
+    leaves, r = [], 0
+    for d, (s, b, q) in enumerate(digit_triples(a)):
+        leaves.append((q, q * d, 2 * b, s, r, 3 * q))
+        r += s + 2 * b
+    return tuple(leaves)
+
+
+_JOINT_LEAF = _joint_leaves(Fraction(2, 3))
 
 
 def _compose_joint(outer, inner):

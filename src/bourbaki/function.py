@@ -33,13 +33,12 @@ from .errors import (
     ParseError,
 )
 from .ternary import (
-    AffineMap,
-    check_digits,
     check_index,
     check_unit_interval,
     close_chain,
     compose_triples,
     digit_stream,
+    digit_triples,
     to_ternary,
 )
 
@@ -171,40 +170,14 @@ def ifs_refine(t: BreakpointTable) -> BreakpointTable:
     return BreakpointTable(t.level + 1, merged, 3 * pow3, t.param)
 
 
-def digit_step_map(d: int, param: FamilyParam = CLASSICAL) -> AffineMap:
-    """Affine action of prepending base-3 digit d to a point.
-
-    With t the remaining tail and v = f(t):
-
-        digit 0:  f(t/3)       = a v
-        digit 1:  f((1 + t)/3) = a - (2a - 1) v
-        digit 2:  f((2 + t)/3) = a v + (1 - a)
-
-    For a = 2/3 these are (2/3)v, (2 - v)/3 and (2v + 1)/3.
-    """
-    check_digits((d,), "digit")
-    a = param.a
-    if d == 0:
-        return AffineMap(a, 0)
-    if d == 1:
-        return AffineMap(1 - 2 * a, a)
-    return AffineMap(a, 1 - a)
-
-
-def _digit_triples(param: FamilyParam) -> tuple[tuple[int, int, int], ...]:
-    """``digit_step_map`` of digits 0, 1, 2 as triples (s, b, q): v -> (s v + b)/q, a = p/q."""
-    p, q = param.a.numerator, param.a.denominator
-    return ((p, 0, q), (q - 2 * p, p, q), (p, q - p, q))
-
-
 def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
     """Exact value of the limit function at a rational point.
 
-    ``close_chain`` of the expansion of x under the digit maps of ``param`` as
-    integer triples; the period composite contracts, since its |slope| <=
+    ``close_chain`` of the expansion of x under the digit maps of ``param``
+    (``digit_triples``); the period composite contracts, since its |slope| <=
     max(a, 1-a, |2a-1|) ** period_length < 1.
     """
-    return close_chain(to_ternary(x), _digit_triples(param))
+    return close_chain(to_ternary(x), param.a)
 
 
 def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:
@@ -314,7 +287,7 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
         raise ParameterError(f"tolerance must be an exact rational, got {tol!r}")
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    leaf = _digit_triples(CLASSICAL)
+    leaf = digit_triples(CLASSICAL.a)
     s, b, den = 1, 0, 1
     digits = digit_stream(r)
     while abs(s) * tol.denominator > tol.numerator * den:  # |s/den| > tol

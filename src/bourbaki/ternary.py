@@ -15,15 +15,18 @@ Everything downstream is built from the objects here, over the stdlib
 * ``balanced_product`` -- the one product tree that every chain of digit
   maps is composed with, over ``AffineMap``s here and over unreduced integer
   tuples in the evaluators.
+* ``digit_triples`` -- the one statement of the digit maps of f_a, as
+  integer triples (s_d, b_d, q) with f((d + t)/3) = (s_d f(t) + b_d)/q for
+  a = p/q; the antiderivative's joint maps are derived from them.
 * ``close_chain`` -- the one closure that turns an expansion into a value
-  under digit maps given as a tuple of integer triples indexed by the
-  digit: f and f_a through theirs, and the expansion's own value through
-  v -> (v + d)/3, the maps of the family member a = 1/3, whose limit
-  function is the identity.  Periods are composed from cached six-digit
-  block leaves (``compose_digits``).  A period is antiperiodic when
-  3**(L/2) = -1 mod q': its second half is then the digit complement
-  (0 <-> 2) of the first (``antiperiodic_half``), and f(1 - t) = 1 - f(t)
-  closes it from the first half alone.
+  under the digit maps of a family member: f and f_a through theirs, and
+  the expansion's own value through v -> (v + d)/3, the maps of the member
+  a = 1/3, whose limit function is the identity.  Periods are composed from
+  cached six-digit block leaves (``compose_digits``).  A period is
+  antiperiodic when 3**(L/2) = -1 mod q': its second half is then the digit
+  complement (0 <-> 2) of the first (``antiperiodic_half``), and
+  f(1 - t) = 1 - f(t), which every f_a satisfies, closes it from the first
+  half alone.
 
 No floating point is used anywhere in this module.
 """
@@ -309,7 +312,16 @@ def affine_fixed_point(m: AffineMap) -> Fraction:
     return m.intercept / (1 - m.slope)
 
 
-_BASE3_TRIPLES = ((1, 0, 3), (1, 1, 3), (1, 2, 3))
+def digit_triples(a: Fraction) -> tuple[tuple[int, int, int], ...]:
+    """The digit maps of f_a, a = p/q, as integer triples indexed by the digit.
+
+    Prepending digit d to a point with tail t sends v = f(t) to
+    (s_d v + b_d)/q, with (s_d, b_d) = (p, 0), (q - 2p, p) and (p, q - p):
+    the maps a v, a - (2a - 1) v and a v + 1 - a.  For a = 2/3 these are
+    (2/3) v, (2 - v)/3 and (2 v + 1)/3; for a = 1/3 they are (v + d)/3.
+    """
+    p, q = a.numerator, a.denominator
+    return ((p, 0, q), (q - 2 * p, p, q), (p, q - p, q))
 
 
 def compose_triples(outer, inner):
@@ -357,30 +369,25 @@ def antiperiodic_half(period: bytes) -> bytes:
     return period[:h]
 
 
-def close_chain(e: TernaryExpansion, leaves: tuple) -> Fraction:
-    """Value at the point with expansion e of the function whose digit maps are ``leaves``.
+def close_chain(e: TernaryExpansion, a: Fraction) -> Fraction:
+    """Value of f_a at the point with expansion e, under the maps ``digit_triples(a)``.
 
-    ``leaves[d]`` = (s, b, q) is the map v -> (s v + b)/q that prepending
-    digit d applies to the tail value.  The period composite must contract;
-    its unique fixed point is the periodic tail value (0 for a terminating
-    expansion), which the preperiod composite carries to the point.  Both
-    are unreduced triples from six-digit block leaves (``compose_digits``),
-    so the one gcd is in the final Fraction, which matters for periods of
-    many digits.
+    The period composite must contract; its unique fixed point is the
+    periodic tail value (0 for a terminating expansion), which the preperiod
+    composite carries to the point.  Both are unreduced triples from
+    six-digit block leaves (``compose_digits``), so the one gcd is in the
+    final Fraction, which matters for periods of many digits.
 
-    Half-period closure: when digit 2's map is digit 0's conjugated by
-    c(v) = 1 - v and digit 1's map commutes with c (true of every f_a), the
-    function satisfies f(1 - t) = 1 - f(t).  If the period is then w
-    followed by the complement of w, only w is composed, to (s, b, d): the
-    tail value y solves y = (s (1 - y) + b)/d, so y = (s + b)/(d + s), over
-    half the digits of the full composite.
+    Half-period closure: digit 2's map is digit 0's conjugated by
+    c(v) = 1 - v and digit 1's map commutes with c, so f(1 - t) = 1 - f(t).
+    If the period is w followed by the complement of w, only w is composed,
+    to (s, b, d): the tail value y solves y = (s (1 - y) + b)/d, so
+    y = (s + b)/(d + s), over half the digits of the full composite.
     """
+    leaves = digit_triples(a)
     num, den = 0, 1  # the tail value num/den
     if e.period:
-        (s0, b0, d0), (s1, b1, d1) = leaves[:2]
-        half = b""
-        if leaves[2] == (s0, d0 - s0 - b0, d0) and 2 * b1 == d1 - s1:
-            half = antiperiodic_half(e.period)
+        half = antiperiodic_half(e.period)
         s, b, d = compose_digits(half or e.period, compose_triples, leaves)
         if not -d < s < d:
             raise ConsistencyError("period map is not a contraction")
@@ -391,8 +398,11 @@ def close_chain(e: TernaryExpansion, leaves: tuple) -> Fraction:
     return Fraction(num, den)
 
 
+_IDENTITY_MEMBER = Fraction(1, 3)
+
+
 def from_ternary(e: TernaryExpansion) -> Fraction:
     """Exact value of a canonical expansion: the ``close_chain`` of the family
     member a = 1/3, whose digit maps are v -> (v + d)/3 and whose limit
     function is the identity."""
-    return close_chain(e, _BASE3_TRIPLES)
+    return close_chain(e, _IDENTITY_MEMBER)

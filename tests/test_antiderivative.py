@@ -182,6 +182,11 @@ class TestEvalFExact:
         expected = F(2 ** (i - 1), 9**i) * x + F(2, 9) ** i * eval_F_exact(x)
         assert eval_F_exact((2 + x) / 3**i) - eval_F_exact(F(2, 3**i)) == expected
 
+    def test_joint_leaves_are_derived_from_the_digit_triples(self):
+        # the joint maps read by hand off F's three scaling identities at a = 2/3
+        leaves = ((3, 0, 0, 2, 0, 9), (3, 3, 4, -1, 2, 9), (3, 6, 2, 2, 5, 9))
+        assert antiderivative._JOINT_LEAF == leaves
+
     @pytest.mark.parametrize(
         "x,message",
         [

@@ -12,6 +12,10 @@ references here walk one digit at a time:
 
 The denominators cover both kinds of period (antiperiodic, when 3**(L/2) is
 -1 mod q', and not) at every L mod 6, with preperiods of 0 to 3 digits.
+
+At denominators up to 10**6, where a digit walk would be slow, the values are
+enclosed instead: F by its level-8 table, and f_a by a depth-60 segment of its
+refinement.  Neither route reads the digit maps.
 """
 
 from fractions import Fraction
@@ -20,17 +24,10 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bourbaki.antiderivative import eval_F_exact
-from bourbaki.function import FamilyParam, digit_step_map, eval_exact
-from bourbaki.ternary import (
-    AffineMap,
-    affine_fixed_point,
-    antiperiodic_half,
-    close_chain,
-    compose_chain,
-    from_ternary,
-    to_ternary,
-)
+from bourbaki.antiderivative import build_F_iterate, eval_F_exact
+from bourbaki.function import FamilyParam, eval_exact
+from bourbaki.ternary import AffineMap, antiperiodic_half, from_ternary, to_ternary
+from reference import digit_step_map, reference_bracket, reference_close, reference_F
 
 F = Fraction
 
@@ -89,44 +86,12 @@ long_points = _points(st.sampled_from(FULL_PERIOD_PRIMES))
 params = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(
     lambda a: 0 < a < 1
 ).map(FamilyParam)
-
-
-def reference_close(e, step) -> Fraction:
-    """The value at e under the digit maps ``step(d)``, one AffineMap per digit."""
-    v = affine_fixed_point(compose_chain([step(d) for d in e.period])) if e.period else F(0)
-    return compose_chain([step(d) for d in e.preperiod])(v)
+deep_points = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+F_TABLE = build_F_iterate(8)
 
 
 def _base3_step(d: int) -> AffineMap:
     return AffineMap(F(1, 3), F(d, 3))
-
-
-# F(point) = alpha t + beta F(t) + gamma for the tail t after one digit:
-# F(t/3) = (2/9) F(t), F((1 + t)/3) = (1 + 2t - F(t))/9,
-# F((2 + t)/3) = (5/2 + t)/9 + (2/9) F(t).
-_F_ROWS = {0: (F(0), F(2, 9), F(0)), 1: (F(2, 9), F(-1, 9), F(1, 9)), 2: (F(1, 9), F(2, 9), F(5, 18))}
-
-
-def reference_F(x: Fraction) -> Fraction:
-    """F(x) by a digit-at-a-time Fraction walk of the (t, F) maps."""
-
-    def walk(digits):
-        # composite (t, F) -> (A t + B, P t + Q F + R), extended one inner digit at a time
-        A, B, P, Q, R = F(1), F(0), F(0), F(1), F(0)
-        for d in digits:
-            alpha, beta, gamma = _F_ROWS[d]
-            A, B, P, Q, R = A / 3, B + A * d / 3, P / 3 + Q * alpha, Q * beta, R + P * d / 3 + Q * gamma
-        return A, B, P, Q, R
-
-    e = to_ternary(x)
-    t, v = F(0), F(0)
-    if e.period:
-        A, B, P, Q, R = walk(e.period)
-        t = B / (1 - A)
-        v = (P * t + R) / (1 - Q)
-    A, B, P, Q, R = walk(e.preperiod)
-    assert A * t + B == x
-    return P * t + Q * v + R
 
 
 class TestPeriodKinds:
@@ -158,7 +123,7 @@ class TestRoutesAgree:
     def test_short_periods(self, x, param):
         e = to_ternary(x)
         assert eval_exact(x) == reference_close(e, digit_step_map)
-        assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param))
+        assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param.a))
         assert from_ternary(e) == reference_close(e, _base3_step) == x
         assert eval_F_exact(x) == reference_F(x)
 
@@ -167,7 +132,7 @@ class TestRoutesAgree:
     def test_full_period_primes(self, x, param):
         # every period here is antiperiodic, of up to 5 * 10**4 digits
         e = to_ternary(x)
-        assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param))
+        assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param.a))
         assert from_ternary(e) == x
 
     @pytest.mark.parametrize("x", [F(2, 9 * 1999), F(5, 3 * 3041)])
@@ -175,13 +140,21 @@ class TestRoutesAgree:
         # periods of 1998 and 3040 digits, after 2 and 1 preperiod digits
         assert eval_F_exact(x) == reference_F(x)
 
-    @pytest.mark.parametrize("x", [F(1, 7), F(5, 3 * 17), F(2, 13), F(1, 91), F(3, 40)])
-    def test_asymmetric_maps_close_the_full_period(self, x):
-        # Digit 2's map is not digit 0's conjugated by v -> 1 - v, so the
-        # half-period closure does not apply and the full period is composed.
-        triples = ((1, 0, 2), (-1, 2, 5), (1, 1, 4))
-        e = to_ternary(x)
-        expected = reference_close(e, lambda d: AffineMap(F(triples[d][0], triples[d][2]),
-                                                          F(triples[d][1], triples[d][2])))
-        assert close_chain(e, triples) == expected
 
+class TestEnclosures:
+    @given(deep_points)
+    @settings(deadline=None, max_examples=60)
+    @example(F(1))
+    def test_F_lies_in_its_table_enclosure(self, x):
+        # F is nondecreasing with slope f <= 1, so over the column k of the
+        # level-L grid, F(x) >= F_L(k) and F(x) <= min(F_L(k + 1), F_L(k) + x - k/3**L)
+        n = 3**F_TABLE.level
+        k = min(int(x * n), n - 1)
+        lo, hi = F_TABLE.y_at(k), F_TABLE.y_at(k + 1)
+        assert lo <= eval_F_exact(x) <= min(hi, lo + x - F(k, n))
+
+    @given(deep_points, params)
+    @settings(deadline=None, max_examples=60)
+    def test_f_a_lies_in_its_segment_bracket(self, x, param):
+        lo, hi = reference_bracket(x, param.a, 60)
+        assert lo <= eval_exact(x, param) <= hi

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bourbaki.errors import (
-    DigitError,
     DomainError,
     ParameterError,
     ParseError,
@@ -22,19 +21,18 @@ from bourbaki.errors import (
 from bourbaki.function import (
     CLASSICAL,
     FamilyParam,
-    _digit_triples,
     approx_eval,
     bracket_value,
     build_iterate,
     closed_form_value,
-    digit_step_map,
     eval_exact,
     eval_iterate,
     ifs_refine,
     iter_iterates,
     parse_decimal,
 )
-from bourbaki.ternary import _BASE3_TRIPLES, compose_chain
+from bourbaki.ternary import compose_chain, digit_triples, to_ternary
+from reference import digit_step_map, reference_close
 
 F = Fraction
 HALF_PARAM = FamilyParam(F(1, 2))
@@ -180,19 +178,17 @@ class TestDigitStepMap:
     @given(params)
     def test_family_maps(self, param):
         a = param.a
-        assert digit_step_map(0, param)(F(1)) == a
-        assert digit_step_map(1, param)(F(0)) == a
-        assert digit_step_map(1, param)(F(1)) == 1 - a
-        assert digit_step_map(2, param)(F(0)) == 1 - a
+        assert digit_step_map(0, a)(F(1)) == a
+        assert digit_step_map(1, a)(F(0)) == a
+        assert digit_step_map(1, a)(F(1)) == 1 - a
+        assert digit_step_map(2, a)(F(0)) == 1 - a
 
-    def test_digit_validated(self):
-        with pytest.raises(ParameterError):
-            digit_step_map(3)
-
-    @pytest.mark.parametrize("d", [True, False, 1.0, 0.0, "1"])
-    def test_digit_must_be_an_int(self, d):
-        with pytest.raises(DigitError):
-            digit_step_map(d)
+    @given(params)
+    def test_digit_triples_are_the_maps(self, param):
+        # the package's one statement of the maps against the reference route's
+        for d, (s, b, q) in enumerate(digit_triples(param.a)):
+            m = digit_step_map(d, param.a)
+            assert (m.slope, m.intercept) == (F(s, q), F(b, q))
 
     def test_period_composite_for_one_seventh(self):
         maps = [digit_step_map(d) for d in (0, 1, 0, 2, 1, 2)]
@@ -268,24 +264,14 @@ class TestEvalExact:
     @given(unit_fractions | long_period_fractions, params)
     @settings(deadline=None, max_examples=60)
     def test_matches_map_composition_route(self, x, param):
-        # Reference route: public affine machinery end to end.
-        from bourbaki.ternary import affine_fixed_point, to_ternary
-
         e = to_ternary(x)
-        v = F(0)
-        if e.period:
-            v = affine_fixed_point(
-                compose_chain([digit_step_map(d, param) for d in e.period])
-            )
-        for d in reversed(e.preperiod):
-            v = digit_step_map(d, param)(v)
-        assert eval_exact(x, param) == v
+        assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param.a))
 
 
 class TestIdentityMember:
     """At a = 1/3 the digit maps are t -> (t + d)/3, so f_{1/3}(x) = x: an
     exact oracle for the closure at any period length that shares no code
-    with the ``AffineMap`` reference route."""
+    with the ``AffineMap`` reference route.  ``from_ternary`` is this member."""
 
     IDENTITY_PARAM = FamilyParam(F(1, 3))
 
@@ -293,9 +279,6 @@ class TestIdentityMember:
     @settings(deadline=None)
     def test_value_is_the_point(self, x):
         assert eval_exact(x, self.IDENTITY_PARAM) == x
-
-    def test_from_ternary_uses_this_member(self):
-        assert _BASE3_TRIPLES == _digit_triples(self.IDENTITY_PARAM)
 
     @pytest.mark.parametrize("x", [F(1, 49999), F(2, 9 * 19997)])
     def test_long_periods(self, x):
