@@ -24,7 +24,6 @@ from .errors import (
     ParameterError,
     ParseError,
     ResourceLimitError,
-    SingularMapError,
 )
 from .function import (
     BreakpointTable,
@@ -49,9 +48,6 @@ from .geometry import (
 )
 from .prng import SplitMix64
 from .ternary import (
-    AffineMap,
-    affine_fixed_point,
-    compose_chain,
     digit_stream,
     from_ternary,
     to_ternary,
@@ -61,7 +57,6 @@ from .verify import VerifyReport, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "BourbakiError",
     "BreakpointTable",
     "ConsistencyError",
@@ -73,10 +68,8 @@ __all__ = [
     "ParameterError",
     "ParseError",
     "ResourceLimitError",
-    "SingularMapError",
     "SplitMix64",
     "VerifyReport",
-    "affine_fixed_point",
     "approx_eval",
     "arc_length",
     "arc_length_profile",
@@ -85,7 +78,6 @@ __all__ = [
     "build_F_iterate",
     "build_iterate",
     "closed_form_value",
-    "compose_chain",
     "cover_level",
     "digit_stream",
     "dimension_estimate",

@@ -39,6 +39,7 @@ from typing import Iterator
 from .errors import ConsistencyError, OrderError, ParameterError
 from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
 from .ternary import (
+    affine_fixed_point,
     antiperiodic_half,
     check_index,
     check_unit_interval,
@@ -102,12 +103,13 @@ def eval_F_exact(x) -> Fraction:
     With m preperiod digits read as the base-3 integer P, the periodic tail
     is t* = 3**m x - P: for x = a/q that is a/q' mod 1 (1 for x = 1), with q'
     the 3-free part of q.  Period and preperiod are composed from six-digit
-    block leaves (``compose_digits``).  The t-row of the period composite
-    must fix t*; the G-row at t = t* fixes G*.  When the period is w followed by its
-    digit complement, the tail after w is 1 - t*, and F(1 - t) = F(t) + 1/2 - t
-    reads G(1 - t*) = G* + 1 - 2 t*; so only w is composed, its t-row must
-    send 1 - t* to t*, and G* = (p + q + r - (p + 2q) t*)/(d - q).  The
-    preperiod composite carries (t*, G*) to (t, 2 F(x)), and t must be x.
+    block leaves (``compose_digits``).  The composed digits end at the tail
+    ``after``: t* itself, or 1 - t* when the period is w followed by its
+    digit complement and only w is composed.  The t-row must send ``after``
+    to t*.  G* is the ``affine_fixed_point`` of the G-row at t = ``after``,
+    with G(after) = G* + g: g = 0 for t*, and g = 1 - 2 t* for 1 - t*, since
+    F(1 - t) = F(t) + 1/2 - t.  The preperiod composite carries (t*, G*) to
+    (t, 2 F(x)), and t must be x.
     """
     x = check_unit_interval(x)
     e = to_ternary(x)
@@ -117,17 +119,13 @@ def eval_F_exact(x) -> Fraction:
         ts, tb, p, q, r, d = compose_digits(half or e.period, _compose_joint, _JOINT_LEAF)
         q_free = x.denominator // 3 ** len(e.preperiod)
         t_num = x.numerator % q_free or q_free  # t* = t_num / q_free
-        # (t*, G*) = (tn, gn)/den, over the common denominator of t* and G*
-        den = q_free * (d - q)
-        tn = t_num * (d - q)
-        if half:
-            fixes_tail = ts * (q_free - t_num) + tb * q_free == d * t_num
-            gn = (p + q + r) * q_free - (p + 2 * q) * t_num
-        else:
-            fixes_tail = tb * q_free == t_num * (d - ts)
-            gn = p * t_num + r * q_free
-        if not fixes_tail:
+        # the tail after the composed digits and G(after) - G*, both times q_free
+        after, g = (q_free - t_num, q_free - 2 * t_num) if half else (t_num, 0)
+        if ts * after + tb * q_free != d * t_num:
             raise ConsistencyError("joint closure disagrees with the tail value")
+        # (t*, G*) = (tn, gn)/den, over the common denominator of t* and G*
+        gn, den = affine_fixed_point((q * q_free, p * after + q * g + r * q_free, d * q_free))
+        tn = t_num * (d - q)
     if e.preperiod:
         ts, tb, p, q, r, d = compose_digits(e.preperiod, _compose_joint, _JOINT_LEAF)
         tn, gn, den = ts * tn + tb * den, p * tn + q * gn + r * den, d * den

@@ -33,10 +33,6 @@ class EmptyInputError(BourbakiError, ValueError):
     """A nonempty collection was required."""
 
 
-class SingularMapError(BourbakiError, ZeroDivisionError):
-    """Fixed point requested for an affine map with slope 1."""
-
-
 class ResourceLimitError(BourbakiError):
     """An index or count beyond its documented cap."""
 

@@ -10,11 +10,10 @@ Everything downstream is built from the objects here, over the stdlib
   closure; ``check_digits``, the one test of a digit, returns that form.
   ``to_ternary`` reads the period by long division by 3**6, six digits per
   step, and the preperiod by recursive halving.
-* ``AffineMap`` -- maps v -> slope * v + intercept over the rationals, with
-  exact composition and fixed points.
-* ``balanced_product`` -- the one product tree that every chain of digit
-  maps is composed with, over ``AffineMap``s here and over unreduced integer
-  tuples in the evaluators.
+* ``compose_chain`` -- the one product tree that every chain of digit maps
+  is composed with, over unreduced integer tuples.
+* ``affine_fixed_point`` -- the one closing step: the fixed point of a
+  contracting integer triple, which is the value of a periodic tail.
 * ``digit_triples`` -- the one statement of the digit maps of f_a, as
   integer triples (s_d, b_d, q) with f((d + t)/3) = (s_d f(t) + b_d)/q for
   a = p/q; the antiderivative's joint maps are derived from them.
@@ -45,7 +44,6 @@ from .errors import (
     DomainError,
     ParameterError,
     ResourceLimitError,
-    SingularMapError,
 )
 
 MAX_PERIOD_DIGITS = 2_000_000
@@ -54,20 +52,16 @@ _SIX_DIGIT_BLOCKS = tuple(map(bytes, product(range(3), repeat=6)))
 _COMPLEMENT = bytes.maketrans(b"\x00\x02", b"\x02\x00")
 
 
-def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise DomainError(f"expected an exact rational, got {type(x).__name__}")
-
-
 def check_unit_interval(x, what: str = "x") -> Fraction:
-    """Coerce to Fraction and require 0 <= x <= 1."""
-    r = _as_rational(x)
-    if r < 0 or r > 1:
-        raise DomainError(f"{what} = {r} lies outside [0, 1]")
-    return r
+    """Require an exact rational 0 <= x <= 1: a Fraction, returned as it is,
+    or an int (not a bool), returned as a Fraction."""
+    if not isinstance(x, Fraction):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise DomainError(f"expected an exact rational, got {type(x).__name__}")
+        x = Fraction(x)
+    if x < 0 or x > 1:
+        raise DomainError(f"{what} = {x} lies outside [0, 1]")
+    return x
 
 
 def check_index(i, what: str = "level", low: int = 0, cap: int | None = None) -> int:
@@ -258,32 +252,8 @@ def digit_stream(x) -> Iterator[int]:
         yield d
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """v -> slope * v + intercept over exact rationals."""
-
-    slope: Fraction
-    intercept: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slope", _as_rational(self.slope))
-        object.__setattr__(self, "intercept", _as_rational(self.intercept))
-
-    def __call__(self, v) -> Fraction:
-        return self.slope * _as_rational(v) + self.intercept
-
-
-IDENTITY = AffineMap(1, 0)
-
-
-def affine_compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
-    """The map v -> outer(inner(v))."""
-    return AffineMap(outer.slope * inner.slope,
-                     outer.slope * inner.intercept + outer.intercept)
-
-
-def balanced_product(items: Sequence, compose: Callable):
-    """items[0] o items[1] o ... o items[-1] for a nonempty sequence.
+def compose_chain(maps: Sequence, compose: Callable):
+    """maps[0] o maps[1] o ... o maps[-1] for a nonempty sequence.
 
     ``compose(outer, inner)`` must be associative.  Pairwise rounds keep the
     operands of each round of equal size, which matters when a chain covers
@@ -291,7 +261,7 @@ def balanced_product(items: Sequence, compose: Callable):
     are then balanced, as in a product tree, instead of one growing operand
     times one small leaf per step.
     """
-    level = list(items)
+    level = list(maps)
     while len(level) > 1:
         nxt = [compose(level[k], level[k + 1]) for k in range(0, len(level) - 1, 2)]
         if len(level) % 2:
@@ -300,16 +270,17 @@ def balanced_product(items: Sequence, compose: Callable):
     return level[0]
 
 
-def compose_chain(maps: Sequence[AffineMap]) -> AffineMap:
-    """Compose maps[0] o maps[1] o ... o maps[-1] (identity for an empty chain)."""
-    return balanced_product(maps, affine_compose) if maps else IDENTITY
+def affine_fixed_point(m: tuple[int, int, int]) -> tuple[int, int]:
+    """The fixed point of v -> (s v + b)/d as the unreduced pair (b, d - s).
 
-
-def affine_fixed_point(m: AffineMap) -> Fraction:
-    """The unique v with m(v) = v; requires slope != 1."""
-    if m.slope == 1:
-        raise SingularMapError("affine map with slope 1 has no unique fixed point")
-    return m.intercept / (1 - m.slope)
+    The triple must contract, -d < s < d, or ``ConsistencyError`` is raised:
+    a period composite of digit maps always does, and its fixed point is the
+    value of the periodic tail.
+    """
+    s, b, d = m
+    if not -d < s < d:
+        raise ConsistencyError("period map is not a contraction")
+    return b, d - s
 
 
 def digit_triples(a: Fraction) -> tuple[tuple[int, int, int], ...]:
@@ -354,10 +325,10 @@ _block_leaves = lru_cache(maxsize=4)(_BlockLeaves)
 
 def compose_digits(digits: bytes, compose: Callable, leaves: tuple):
     """leaves[digits[0]] o ... o leaves[digits[-1]] for nonempty ``digits``:
-    the ``balanced_product`` of one precomposed leaf per six-digit block, the
+    the ``compose_chain`` of one precomposed leaf per six-digit block, the
     last block holding what is left."""
     blocks = _block_leaves(compose, leaves)
-    return balanced_product([blocks[digits[k:k + 6]] for k in range(0, len(digits), 6)], compose)
+    return compose_chain([blocks[digits[k:k + 6]] for k in range(0, len(digits), 6)], compose)
 
 
 def antiperiodic_half(period: bytes) -> bytes:
@@ -372,8 +343,8 @@ def antiperiodic_half(period: bytes) -> bytes:
 def close_chain(e: TernaryExpansion, a: Fraction) -> Fraction:
     """Value of f_a at the point with expansion e, under the maps ``digit_triples(a)``.
 
-    The period composite must contract; its unique fixed point is the
-    periodic tail value (0 for a terminating expansion), which the preperiod
+    The periodic tail value (0 for a terminating expansion) is the
+    ``affine_fixed_point`` of the period composite, which the preperiod
     composite carries to the point.  Both are unreduced triples from
     six-digit block leaves (``compose_digits``), so the one gcd is in the
     final Fraction, which matters for periods of many digits.
@@ -381,28 +352,27 @@ def close_chain(e: TernaryExpansion, a: Fraction) -> Fraction:
     Half-period closure: digit 2's map is digit 0's conjugated by
     c(v) = 1 - v and digit 1's map commutes with c, so f(1 - t) = 1 - f(t).
     If the period is w followed by the complement of w, only w is composed,
-    to (s, b, d): the tail value y solves y = (s (1 - y) + b)/d, so
-    y = (s + b)/(d + s), over half the digits of the full composite.
+    to (s, b, d): the tail after w has value 1 - v, so the tail value is the
+    fixed point of v -> (s (1 - v) + b)/d, over half the digits of the full
+    composite.
     """
     leaves = digit_triples(a)
     num, den = 0, 1  # the tail value num/den
     if e.period:
         half = antiperiodic_half(e.period)
         s, b, d = compose_digits(half or e.period, compose_triples, leaves)
-        if not -d < s < d:
-            raise ConsistencyError("period map is not a contraction")
-        num, den = (s + b, d + s) if half else (b, d - s)
+        num, den = affine_fixed_point((-s, s + b, d) if half else (s, b, d))
     if e.preperiod:
         s, b, d = compose_digits(e.preperiod, compose_triples, leaves)
         num, den = s * num + b * den, d * den
     return Fraction(num, den)
 
 
-_IDENTITY_MEMBER = Fraction(1, 3)
+_BASE3_MEMBER = Fraction(1, 3)
 
 
 def from_ternary(e: TernaryExpansion) -> Fraction:
     """Exact value of a canonical expansion: the ``close_chain`` of the family
     member a = 1/3, whose digit maps are v -> (v + d)/3 and whose limit
     function is the identity."""
-    return close_chain(e, _IDENTITY_MEMBER)
+    return close_chain(e, _BASE3_MEMBER)

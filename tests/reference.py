@@ -1,8 +1,14 @@
 """Reference routes for the tests: one digit or one segment at a time, in Fractions.
 
-Each route here is written from the paper's identities directly and shares
-no code with the package's closures or with ``ternary.digit_triples``:
+Each route here is written from the paper's identities directly.  The one
+package routine it uses is the product tree ``ternary.compose_chain``, here
+over ``Fraction`` maps, so that periods of many digits stay cheap; it shares
+no other code with the package's closures, and none with
+``ternary.digit_triples``:
 
+* ``AffineMap`` -- v -> slope * v + intercept over the rationals, with
+  ``affine_compose``, ``IDENTITY``, ``compose_chain`` and the fixed point
+  ``affine_fixed_point`` = intercept / (1 - slope);
 * ``digit_step_map`` -- the affine action of one base-3 digit on f_a,
   as an ``AffineMap``;
 * ``reference_close`` -- the value at an expansion under one map per digit,
@@ -13,11 +19,42 @@ no code with the package's closures or with ``ternary.digit_triples``:
   that holds x.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from bourbaki.ternary import AffineMap, affine_fixed_point, compose_chain, to_ternary
+from bourbaki import ternary
+from bourbaki.ternary import to_ternary
 
 F = Fraction
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """v -> slope * v + intercept over exact rationals."""
+
+    slope: Fraction
+    intercept: Fraction
+
+    def __call__(self, v: Fraction) -> Fraction:
+        return self.slope * v + self.intercept
+
+
+IDENTITY = AffineMap(F(1), F(0))
+
+
+def affine_compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
+    """The map v -> outer(inner(v))."""
+    return AffineMap(outer.slope * inner.slope, outer.slope * inner.intercept + outer.intercept)
+
+
+def compose_chain(maps) -> AffineMap:
+    """maps[0] o maps[1] o ... o maps[-1] (identity for an empty chain)."""
+    return ternary.compose_chain(maps, affine_compose) if maps else IDENTITY
+
+
+def affine_fixed_point(m: AffineMap) -> Fraction:
+    """The unique v with m(v) = v; the slope must not be 1."""
+    return m.intercept / (1 - m.slope)
 
 
 def digit_step_map(d: int, a: Fraction = F(2, 3)) -> AffineMap:

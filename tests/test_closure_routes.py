@@ -5,8 +5,9 @@ f_a, F and ``from_ternary`` compose six-digit block leaves, over half the
 period when its second half is the digit complement of the first.  The
 references here walk one digit at a time:
 
-* f, f_a and ``from_ternary``: ``compose_chain`` over one ``AffineMap`` per
-  digit, and ``affine_fixed_point`` for the periodic tail;
+* f, f_a and ``from_ternary``: ``reference.compose_chain`` over one
+  ``Fraction`` ``AffineMap`` per digit, and its ``affine_fixed_point`` for
+  the periodic tail;
 * F: a ``Fraction`` walk of the (t, F) maps read off the scaling identities
   of F, one digit at a time, then the fixed point of the period composite.
 
@@ -26,8 +27,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from bourbaki.antiderivative import build_F_iterate, eval_F_exact
 from bourbaki.function import FamilyParam, eval_exact
-from bourbaki.ternary import AffineMap, antiperiodic_half, from_ternary, to_ternary
-from reference import digit_step_map, reference_bracket, reference_close, reference_F
+from bourbaki.ternary import antiperiodic_half, from_ternary, to_ternary
+from reference import AffineMap, digit_step_map, reference_bracket, reference_close, reference_F
 
 F = Fraction
 

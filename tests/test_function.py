@@ -31,8 +31,8 @@ from bourbaki.function import (
     iter_iterates,
     parse_decimal,
 )
-from bourbaki.ternary import compose_chain, digit_triples, to_ternary
-from reference import digit_step_map, reference_close
+from bourbaki.ternary import digit_triples, to_ternary
+from reference import compose_chain, digit_step_map, reference_close
 
 F = Fraction
 HALF_PARAM = FamilyParam(F(1, 2))

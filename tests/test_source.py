@@ -1,16 +1,22 @@
-"""Import hygiene of the package source: every imported name is read.
+"""Checks on the package source read from its syntax trees.
 
-No linter is among the test dependencies, so each module's syntax tree is
-walked with ``ast``.  ``__init__.py`` imports names only to re-export them
-and is left out; ``from __future__`` imports are exempt.
+* Import hygiene: every imported name is read.  No linter is among the test
+  dependencies, so each module's syntax tree is walked with ``ast``.
+  ``__init__.py`` imports names only to re-export them and is left out;
+  ``from __future__`` imports are exempt.
+* The benchmark harness traces the functions that ``perfbench/spans.py``
+  names in ``TRACED``, by layer: each must stay a callable of its module.
+  ``TRACED`` is read from that file with ``ast``, without importing it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bourbaki"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bourbaki"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -39,3 +45,23 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = sorted(_imported(tree) - _read(tree))
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def _traced() -> dict[str, tuple[str, ...]]:
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py assigns no TRACED")
+
+
+TRACED = _traced()
+
+
+@pytest.mark.parametrize("layer", sorted(TRACED))
+def test_traced_names_are_bound(layer):
+    module = importlib.import_module(f"bourbaki.{layer}")
+    unbound = [n for n in TRACED[layer] if not callable(getattr(module, n, None))]
+    assert not unbound, f"bourbaki.{layer} has no callable {unbound}"

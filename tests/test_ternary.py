@@ -14,16 +14,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bourbaki import ternary
-from bourbaki.errors import DigitError, DomainError, ResourceLimitError, SingularMapError
+from bourbaki.errors import ConsistencyError, DigitError, DomainError, ResourceLimitError
 from bourbaki.ternary import (
-    IDENTITY,
-    AffineMap,
     TernaryExpansion,
-    affine_compose,
+    affine_fixed_point,
     check_digits,
     check_unit_interval,
-    affine_fixed_point,
     compose_chain,
+    compose_triples,
     digit_stream,
     from_ternary,
     to_ternary,
@@ -279,30 +277,29 @@ class TestFromTernary:
         assert block / (1 - ratio) == Fraction(1, 9973)
 
 
-small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=50)
-affine_maps = st.builds(AffineMap, small_rationals, small_rationals)
+small_ints = st.integers(min_value=-40, max_value=40)
+# integer triples (s, b, d), each the map v -> (s v + b)/d
+triples = st.tuples(small_ints, small_ints, st.integers(min_value=1, max_value=40))
+
+
+def apply(m, v: Fraction) -> Fraction:
+    s, b, d = m
+    return (s * v + b) / d
 
 
 class TestAffine:
     def test_compose_example(self):
-        m = affine_compose(AffineMap(Fraction(2, 3), Fraction(0)),
-                           AffineMap(Fraction(2, 3), Fraction(1, 3)))
-        assert m == AffineMap(Fraction(4, 9), Fraction(2, 9))
+        assert compose_triples((2, 0, 3), (2, 1, 3)) == (4, 2, 9)
 
-    def test_identity_is_neutral(self):
-        m = AffineMap(Fraction(3, 7), Fraction(-2, 5))
-        assert affine_compose(IDENTITY, m) == m
-        assert affine_compose(m, IDENTITY) == m
-
-    @given(affine_maps, affine_maps, affine_maps)
+    @given(triples, triples, triples)
     def test_compose_associative(self, a, b, c):
-        assert affine_compose(affine_compose(a, b), c) == affine_compose(
-            a, affine_compose(b, c)
+        assert compose_triples(compose_triples(a, b), c) == compose_triples(
+            a, compose_triples(b, c)
         )
 
-    @given(affine_maps, affine_maps, small_rationals)
+    @given(triples, triples, st.fractions(min_value=-4, max_value=4, max_denominator=50))
     def test_compose_applies_inner_first(self, outer, inner, v):
-        assert affine_compose(outer, inner)(v) == outer(inner(v))
+        assert apply(compose_triples(outer, inner), v) == apply(outer, apply(inner, v))
 
     @pytest.mark.parametrize(
         "slope,intercept,fp",
@@ -313,24 +310,23 @@ class TestAffine:
         ],
     )
     def test_fixed_point_examples(self, slope, intercept, fp):
-        assert affine_fixed_point(AffineMap(slope, intercept)) == fp
+        d = slope.denominator * intercept.denominator
+        num, den = affine_fixed_point((int(slope * d), int(intercept * d), d))
+        assert Fraction(num, den) == fp
 
-    @given(affine_maps)
+    @given(triples)
     def test_fixed_point_is_fixed(self, m):
-        if m.slope == 1:
-            with pytest.raises(SingularMapError):
+        s, _, d = m
+        if not -d < s < d:
+            with pytest.raises(ConsistencyError):
                 affine_fixed_point(m)
         else:
-            v = affine_fixed_point(m)
-            assert m(v) == v
+            v = Fraction(*affine_fixed_point(m))
+            assert apply(m, v) == v
 
-    def test_slope_one_rejected(self):
-        with pytest.raises(SingularMapError):
-            affine_fixed_point(AffineMap(Fraction(1), Fraction(1, 3)))
-
-    @given(st.lists(affine_maps, max_size=9))
+    @given(st.lists(triples, min_size=1, max_size=9))
     def test_chain_matches_sequential_composition(self, maps):
-        seq = IDENTITY
-        for m in maps:
-            seq = affine_compose(seq, m)
-        assert compose_chain(maps) == seq
+        seq = maps[0]
+        for m in maps[1:]:
+            seq = compose_triples(seq, m)
+        assert compose_chain(maps, compose_triples) == seq
