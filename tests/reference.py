@@ -16,13 +16,20 @@ no other code with the package's closures, and none with
 * ``reference_F`` -- F by a digit-at-a-time walk of the (t, F) maps read
   off the scaling identities of F;
 * ``reference_bracket`` -- the f_a refinement followed down the one segment
-  that holds x.
+  that holds x;
+* ``reference_root_sums`` -- the arc-length root sums of an F table, one
+  ``math.isqrt`` per segment for the floor and ``isqrt(n - 1) + 1`` for the
+  ceiling;
+* ``reference_cover`` -- the cover rectangles from the three plane maps,
+  applied to Fraction intervals.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from bourbaki import ternary
+from bourbaki.geometry import CoverRectangle
 from bourbaki.ternary import to_ternary
 
 F = Fraction
@@ -119,3 +126,34 @@ def reference_bracket(x: Fraction, a: Fraction, depth: int) -> tuple[Fraction, F
         else:
             x0, y0 = c2, v2
     return min(y0, y1), max(y0, y1)
+
+
+def reference_root_sums(t) -> tuple[int, int]:
+    """Floor and ceiling sums of sqrt(((Y / 3**level)**2 + rise**2) * 10**100)
+    over the segments of F table t (Y its denominator), one segment at a time."""
+    ynums, yden = t.y_numerators, t.y_denominator
+    run = yden // 3**t.level
+    radicands = [(run**2 + (b - a) ** 2) * 10**100 for a, b in zip(ynums, ynums[1:])]
+    return sum(map(isqrt, radicands)), sum(isqrt(n - 1) + 1 for n in radicands)
+
+
+def reference_cover(i: int) -> list[CoverRectangle]:
+    """The depth-i cover, each rectangle the image of the unit square under
+    its path's plane maps, the last digit's map applied last:
+
+        digit 0: (x, y) -> (x/3, 2y/3)
+        digit 1: (x, y) -> ((2 - x)/3, (1 + y)/3)
+        digit 2: (x, y) -> ((2 + x)/3, (1 + 2y)/3)
+    """
+    rects = [((), F(0), F(1), F(0), F(1))]
+    for _ in range(i):
+        rects = [
+            child
+            for path, x0, x1, y0, y1 in rects
+            for child in (
+                (path + (0,), x0 / 3, x1 / 3, 2 * y0 / 3, 2 * y1 / 3),
+                (path + (1,), (2 - x1) / 3, (2 - x0) / 3, (1 + y0) / 3, (1 + y1) / 3),
+                (path + (2,), (2 + x0) / 3, (2 + x1) / 3, (1 + 2 * y0) / 3, (1 + 2 * y1) / 3),
+            )
+        ]
+    return [CoverRectangle(*r) for r in rects]

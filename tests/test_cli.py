@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from bourbaki import geometry
 from bourbaki.cli import run
 from bourbaki.errors import ParameterError
 from bourbaki.render import csv_table, decimal_12, format_rational, format_value
@@ -240,6 +241,20 @@ class TestGeometryCommands:
             "11 1.12796582888\n"
             "12 1.12796586613\n"
         )
+
+    def test_arclength_broken_enclosure_exits_2(self, capsys, monkeypatch):
+        # a ceiling sum 10**-6 too high: at level 1 the bounds print different 12 digits
+        root_sums = geometry._root_sums
+
+        def widened(t):
+            floor_sum, ceil_sum = root_sums(t)
+            return floor_sum, ceil_sum + t.y_denominator * 10**44 * (t.level == 1)
+
+        monkeypatch.setattr(geometry, "_root_sums", widened)
+        assert run(["arclength", "--max-level", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "0 1.11803398875\n"
+        assert "arc length at level 1 not certified" in captured.err
 
     def test_measure_golden(self, capsys):
         assert run(["measure", "--digits", "00"]) == 0

@@ -20,7 +20,9 @@ from bourbaki.errors import (
     ParameterError,
     ResourceLimitError,
 )
-from bourbaki.function import build_iterate
+from bourbaki import geometry
+from bourbaki.antiderivative import iter_F_iterates
+from bourbaki.function import BreakpointTable, build_iterate
 from bourbaki.geometry import (
     BoxCountReport,
     CoverRectangle,
@@ -34,6 +36,9 @@ from bourbaki.geometry import (
     mass_bound_check,
     mass_measure,
 )
+from bourbaki.render import decimal_12
+
+from reference import reference_cover, reference_root_sums
 
 F = Fraction
 
@@ -128,6 +133,10 @@ class TestCoverLevel:
                 if r.x_lo <= x <= r.x_hi:
                     assert r.y_lo <= y <= r.y_hi, (r.digits, x)
 
+    @pytest.mark.parametrize("i", range(7))
+    def test_matches_plane_map_construction(self, i):
+        assert cover_level(i) == reference_cover(i)
+
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):
             cover_level(11)
@@ -218,11 +227,37 @@ class TestArcLength:
 
     def test_profile_strictly_increasing_and_bounded(self):
         lengths = list(arc_length_profile(8))
-        lower = CTX.divide(CTX.sqrt(Decimal(5)), Decimal(2))
         for a, b in zip(lengths, lengths[1:]):
             assert a < b
         for value in lengths:
-            assert lower <= value < Decimal("1.5")
+            assert value < Decimal("1.5")
+        # L_0 is the chord sqrt(5)/2 itself: its enclosure holds both of the
+        # chord's 50-digit directed roundings
+        def half_root_five(rounding):
+            wide = decimal.Context(prec=100, rounding=rounding)
+            return decimal.Context(prec=50, rounding=rounding).plus(wide.divide(wide.sqrt(5), 2))
+
+        lo, _, hi = geometry._length_bounds(next(iter_F_iterates(0)))
+        assert lo <= half_root_five(decimal.ROUND_FLOOR)
+        assert half_root_five(decimal.ROUND_CEILING) <= hi
+
+    def test_root_sums_match_per_segment_sums(self):
+        for t in iter_F_iterates(9):
+            assert geometry._root_sums(t) == reference_root_sums(t)
+
+    def test_square_radicands_add_nothing_to_the_ceiling(self):
+        # run 9 // 3 = 3 and rises 4, 4, 12: two 3-4-5 segments with exact roots
+        t = BreakpointTable(1, [0, 4, 8, 20], 9)
+        floor_sum, ceil_sum = geometry._root_sums(t)
+        assert (floor_sum, ceil_sum) == reference_root_sums(t)
+        assert ceil_sum == floor_sum + 1
+
+    def test_bounds_enclose_value_and_print_alike(self):
+        for i, t in enumerate(iter_F_iterates(9)):
+            lo, value, hi = geometry._length_bounds(t)
+            assert lo <= value <= hi, i
+            assert hi - lo < Decimal("1e-48"), i
+            assert decimal_12(lo) == decimal_12(value) == decimal_12(hi), i
 
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -132,7 +132,7 @@ class TestToTernary:
         assert e.period == to_ternary(Fraction(1, 7)).period
 
     def test_preperiod_budget(self, monkeypatch):
-        monkeypatch.setattr(ternary, "MAX_PERIOD_DIGITS", 6)
+        monkeypatch.setattr(ternary, "MAX_PREPERIOD_DIGITS", 6)
         assert len(to_ternary(Fraction(1, 2 * 3**6)).preperiod) == 6
         for x in (Fraction(1, 3**7), Fraction(1, 2 * 3**7), Fraction(5, 3**20)):
             with pytest.raises(ResourceLimitError):
@@ -140,7 +140,7 @@ class TestToTernary:
 
     def test_preperiod_budget_at_the_real_cap(self):
         with pytest.raises(ResourceLimitError):
-            to_ternary(Fraction(1, 3 ** (ternary.MAX_PERIOD_DIGITS + 1)))
+            to_ternary(Fraction(1, 3 ** (ternary.MAX_PREPERIOD_DIGITS + 1)))
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
