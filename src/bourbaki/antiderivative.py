@@ -14,10 +14,11 @@ integer joint affine map over the denominator 3q:
     t' = (q t + q d)/(3q)       G' = (2 b_d t + s_d G + 6q F(d/3))/(3q)
 
 The composite over one period, built over six-digit block leaves by
-``compose_digits``, is contracting in each component; its two fixed-point
+``compose_period``, is contracting in each component; its two fixed-point
 equations give (t*, G*) exactly, without per-rotation tail values.  For an
 antiperiodic period (its second half the digit complement of the first)
-the composite of the first half suffices, since F(1 - t) = F(t) + 1/2 - t.
+that is the composite of the first half followed by the complement map
+(t, G) -> (1 - t, G + 1 - 2 t), since F(1 - t) = F(t) + 1/2 - t.
 The preperiod composite then carries (t*, G*) to (x, 2 F(x)), and the one
 reduction is the final Fraction.
 
@@ -40,10 +41,10 @@ from .errors import ConsistencyError, OrderError, ParameterError
 from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
 from .ternary import (
     affine_fixed_point,
-    antiperiodic_half,
     check_index,
     check_unit_interval,
     compose_digits,
+    compose_period,
     digit_triples,
     to_ternary,
 )
@@ -82,6 +83,8 @@ def _joint_leaves(a: Fraction) -> tuple[tuple[int, ...], ...]:
 
 
 _JOINT_LEAF = _joint_leaves(Fraction(2, 3))
+# (t, G) -> (1 - t, G + 1 - 2 t), from F(1 - t) = F(t) + 1/2 - t, for every a
+_JOINT_COMPLEMENT = (-1, 1, -2, 1, 1, 1)
 
 
 def _compose_joint(outer, inner):
@@ -102,29 +105,23 @@ def eval_F_exact(x) -> Fraction:
 
     With m preperiod digits read as the base-3 integer P, the periodic tail
     is t* = 3**m x - P: for x = a/q that is a/q' mod 1 (1 for x = 1), with q'
-    the 3-free part of q.  Period and preperiod are composed from six-digit
-    block leaves (``compose_digits``).  The composed digits end at the tail
-    ``after``: t* itself, or 1 - t* when the period is w followed by its
-    digit complement and only w is composed.  The t-row must send ``after``
-    to t*.  G* is the ``affine_fixed_point`` of the G-row at t = ``after``,
-    with G(after) = G* + g: g = 0 for t*, and g = 1 - 2 t* for 1 - t*, since
-    F(1 - t) = F(t) + 1/2 - t.  The preperiod composite carries (t*, G*) to
-    (t, 2 F(x)), and t must be x.
+    the 3-free part of q.  The period composite (``compose_period``, with
+    the complement map ``_JOINT_COMPLEMENT``) must send t* to itself, and
+    G* is the ``affine_fixed_point`` of its G-row at t*.  The preperiod
+    composite carries (t*, G*) to (t, 2 F(x)), and t must be x.
     """
     x = check_unit_interval(x)
     e = to_ternary(x)
     tn, gn, den = 0, 0, 1  # the pair (t, G) = (tn, gn)/den
     if e.period:
-        half = antiperiodic_half(e.period)
-        ts, tb, p, q, r, d = compose_digits(half or e.period, _compose_joint, _JOINT_LEAF)
+        composite = compose_period(e.period, _compose_joint, _JOINT_LEAF, _JOINT_COMPLEMENT)
+        ts, tb, p, q, r, d = composite
         q_free = x.denominator // 3 ** len(e.preperiod)
         t_num = x.numerator % q_free or q_free  # t* = t_num / q_free
-        # the tail after the composed digits and G(after) - G*, both times q_free
-        after, g = (q_free - t_num, q_free - 2 * t_num) if half else (t_num, 0)
-        if ts * after + tb * q_free != d * t_num:
+        if ts * t_num + tb * q_free != d * t_num:
             raise ConsistencyError("joint closure disagrees with the tail value")
         # (t*, G*) = (tn, gn)/den, over the common denominator of t* and G*
-        gn, den = affine_fixed_point((q * q_free, p * after + q * g + r * q_free, d * q_free))
+        gn, den = affine_fixed_point((q * q_free, p * t_num + r * q_free, d * q_free))
         tn = t_num * (d - q)
     if e.preperiod:
         ts, tb, p, q, r, d = compose_digits(e.preperiod, _compose_joint, _JOINT_LEAF)

@@ -2,7 +2,11 @@
 
 Counts, covers and the integer root sums of arc lengths are exact; only final
 quotients, logarithms and roots pass through ``decimal`` contexts at 50 digits,
-with directed rounding where an inequality must not rest on rounding error.
+with directed rounding where an inequality or a printed digit must not rest on
+rounding error.  Decimal's ``ln``, ``exp`` and ``sqrt`` round half-even
+whatever the context's rounding, so a directed bound steps each of their
+results one unit outward (``next_minus``, ``next_plus``): a half-even result
+lies within half a unit of the true value.
 
 Grid convention for box counting: the unit square is cut into closed boxes of
 side 3**-i on the origin-anchored grid, and a box is counted when it meets
@@ -73,17 +77,33 @@ def box_count(i: int) -> BoxCountReport:
     return BoxCountReport(i, Fraction(1, 3**i), count)
 
 
+def _dimension_bounds(r: BoxCountReport) -> tuple[Decimal, Decimal, Decimal]:
+    """(lo, value, hi) for log(count) / (level * log 3) at 50 digits: value
+    rounded half-even, and lo <= estimate <= hi from each logarithm stepped
+    one unit outward and the multiply and divide rounded outward."""
+    down, up = _context(decimal.ROUND_FLOOR), _context(decimal.ROUND_CEILING)
+    even = _context(decimal.ROUND_HALF_EVEN)
+    count, level = Decimal(r.count), Decimal(r.level)
+    ln_count, ln_3 = even.ln(count), even.ln(Decimal(3))
+    return (
+        down.divide(down.next_minus(ln_count), up.multiply(level, up.next_plus(ln_3))),
+        even.divide(ln_count, even.multiply(level, ln_3)),
+        up.divide(up.next_plus(ln_count), down.multiply(level, down.next_minus(ln_3))),
+    )
+
+
 def dimension_estimate(reports: Sequence[BoxCountReport]) -> Decimal:
-    """log(count) / (level * log 3) for the deepest supplied report."""
+    """log(count) / (level * log 3) for the deepest supplied report, rounded
+    half-even at 50 digits, once the enclosure of ``_dimension_bounds`` prints
+    the same 12 digits at both ends (``ConsistencyError`` otherwise)."""
     usable = [r for r in reports if r.level >= 1]
     if not usable:
         raise EmptyInputError("need at least one report with level >= 1")
     deepest = max(usable, key=lambda r: r.level)
-    ctx = _context(decimal.ROUND_HALF_EVEN)
-    return ctx.divide(
-        ctx.ln(Decimal(deepest.count)),
-        ctx.multiply(Decimal(deepest.level), ctx.ln(Decimal(3))),
-    )
+    lo, value, hi = _dimension_bounds(deepest)
+    if decimal_12(lo) != decimal_12(hi):
+        raise ConsistencyError(f"dimension estimate not certified: [{lo}, {hi}]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -184,37 +204,40 @@ def mass_measure(level: int) -> MassMeasure:
     return MassMeasure(level, {path: Fraction(m, den) for path, m in paths.items()})
 
 
-def mass_bound_check(i: int) -> bool:
-    """Verify mass(U) <= 5 * diam(U) ** log3(5) for every level-i rectangle.
-
-    A rectangle's mass, height and diameter depend only on how many digit-1
-    steps its path contains, so the 3**i rectangles reduce to i + 1 classes.
-    The right-hand side is evaluated with all roundings directed downward
-    (and the mass rounded upward), so a pass can never be an artifact of
-    rounding; tested margins are far wider than 10**-50.
+def _mass_classes(i: int) -> Iterator[tuple[int, Decimal, Decimal]]:
+    """(ones, mass rounded up, 5 * diam ** log3(5) rounded down) for each
+    class of level-i rectangles with diam < 1, a class being the number of
+    digit-1 steps in the path; diam >= 1 makes the bound at least 5, above
+    any mass.  With diam < 1 the product s * ln(diam) is negative, so its
+    lower bound needs s rounded *up* and ln(diam) (via diam) rounded down.
     """
-    check_index(i, cap=MAX_MASS_LEVEL)
     down = _context(decimal.ROUND_FLOOR)
     up = _context(decimal.ROUND_CEILING)
-    # Every rounding pushes the right side down and the mass up, so the
-    # comparison can only fail conservatively.  With diam < 1 the product
-    # s * ln(diam) is negative, so its lower bound needs s rounded *up* and
-    # ln(diam) (via diam) rounded down.
-    s_up = up.divide(up.ln(Decimal(5)), down.ln(Decimal(3)))
+    s_up = up.divide(up.next_plus(up.ln(Decimal(5))), down.next_minus(down.ln(Decimal(3))))
     for ones in range(i + 1):
         # mass = 2**(i-ones) / 5**i; width 3**-i and height 2**(i-ones) / 3**i
         # give diam**2 = (1 + 4**(i-ones)) / 9**i.
         diam_sq_num, diam_sq_den = 1 + 4 ** (i - ones), 9**i
         if diam_sq_num >= diam_sq_den:
-            continue  # diam >= 1 makes the bound at least 5 >= any mass
-        diam_down = down.sqrt(down.divide(Decimal(diam_sq_num), Decimal(diam_sq_den)))
-        ln_down = down.ln(diam_down)  # negative
-        power_down = down.exp(down.multiply(s_up, ln_down))
-        rhs_down = down.multiply(Decimal(5), power_down)
+            continue
+        diam_sq_down = down.divide(Decimal(diam_sq_num), Decimal(diam_sq_den))
+        diam_down = down.next_minus(down.sqrt(diam_sq_down))
+        ln_down = down.next_minus(down.ln(diam_down))  # negative
+        power_down = down.next_minus(down.exp(down.multiply(s_up, ln_down)))
         mass_up = up.divide(Decimal(2 ** (i - ones)), Decimal(5**i))
-        if not mass_up <= rhs_down:
-            return False
-    return True
+        yield ones, mass_up, down.multiply(Decimal(5), power_down)
+
+
+def mass_bound_check(i: int) -> bool:
+    """Verify mass(U) <= 5 * diam(U) ** log3(5) for every level-i rectangle.
+
+    A rectangle's mass, height and diameter depend only on how many digit-1
+    steps its path contains, so the 3**i rectangles reduce to i + 1 classes
+    (``_mass_classes``).  The mass is bounded above and the right-hand side
+    below, so a pass can never be an artifact of rounding.
+    """
+    check_index(i, cap=MAX_MASS_LEVEL)
+    return all(mass <= rhs for _, mass, rhs in _mass_classes(i))
 
 
 def iter_segment_squares(i: int) -> Iterator[Fraction]:

@@ -20,12 +20,13 @@ Everything downstream is built from the objects here, over the stdlib
 * ``close_chain`` -- the one closure that turns an expansion into a value
   under the digit maps of a family member: f and f_a through theirs, and
   the expansion's own value through v -> (v + d)/3, the maps of the member
-  a = 1/3, whose limit function is the identity.  Periods are composed from
-  cached six-digit block leaves (``compose_digits``).  A period is
-  antiperiodic when 3**(L/2) = -1 mod q': its second half is then the digit
-  complement (0 <-> 2) of the first (``antiperiodic_half``), and
-  f(1 - t) = 1 - f(t), which every f_a satisfies, closes it from the first
-  half alone.
+  a = 1/3, whose limit function is the identity.
+* ``compose_period`` -- the one half-period route, over cached six-digit
+  block leaves (``compose_digits``).  When 3**(L/2) = -1 mod q', the
+  period's second half is the digit complement (0 <-> 2) of the first, and
+  its composite is that of the first half followed by the map that
+  t -> 1 - t induces on the closure's state: v -> 1 - v here, since
+  f(1 - t) = 1 - f(t) for every f_a.
 
 No floating point is used anywhere in this module.
 """
@@ -286,6 +287,10 @@ def affine_fixed_point(m: tuple[int, int, int]) -> tuple[int, int]:
     return b, d - s
 
 
+# v -> 1 - v, the map that t -> 1 - t induces on f_a(t) for every a: f(1 - t) = 1 - f(t)
+_COMPLEMENT_MAP = (-1, 1, 1)
+
+
 def digit_triples(a: Fraction) -> tuple[tuple[int, int, int], ...]:
     """The digit maps of f_a, a = p/q, as integer triples indexed by the digit.
 
@@ -334,37 +339,31 @@ def compose_digits(digits: bytes, compose: Callable, leaves: tuple):
     return compose_chain([blocks[digits[k:k + 6]] for k in range(0, len(digits), 6)], compose)
 
 
-def antiperiodic_half(period: bytes) -> bytes:
-    """The first half w of a period that is w followed by its digit complement
-    (0 <-> 2), so the tail after w is 1 - t for the periodic tail t; else b""."""
+def compose_period(period: bytes, compose: Callable, leaves: tuple, complement):
+    """The ``compose_digits`` composite of a nonempty period.  When the period
+    is w then its digit complement (0 <-> 2), the tail after w is 1 - t for
+    the periodic tail t, so this is compose(composite of w, ``complement``),
+    ``complement`` being the map that t -> 1 - t induces on the closure's state."""
     h, odd = divmod(len(period), 2)
     if odd or period[h:] != period[:h].translate(_COMPLEMENT):
-        return b""
-    return period[:h]
+        return compose_digits(period, compose, leaves)
+    return compose(compose_digits(period[:h], compose, leaves), complement)
 
 
 def close_chain(e: TernaryExpansion, a: Fraction) -> Fraction:
     """Value of f_a at the point with expansion e, under the maps ``digit_triples(a)``.
 
     The periodic tail value (0 for a terminating expansion) is the
-    ``affine_fixed_point`` of the period composite, which the preperiod
-    composite carries to the point.  Both are unreduced triples from
-    six-digit block leaves (``compose_digits``), so the one gcd is in the
-    final Fraction, which matters for periods of many digits.
-
-    Half-period closure: digit 2's map is digit 0's conjugated by
-    c(v) = 1 - v and digit 1's map commutes with c, so f(1 - t) = 1 - f(t).
-    If the period is w followed by the complement of w, only w is composed,
-    to (s, b, d): the tail after w has value 1 - v, so the tail value is the
-    fixed point of v -> (s (1 - v) + b)/d, over half the digits of the full
-    composite.
+    ``affine_fixed_point`` of the period composite (``compose_period``, with
+    the complement map v -> 1 - v), which the preperiod composite carries to
+    the point.  Both are unreduced triples from six-digit block leaves, so
+    the one gcd is in the final Fraction, which matters for long periods.
     """
     leaves = digit_triples(a)
     num, den = 0, 1  # the tail value num/den
     if e.period:
-        half = antiperiodic_half(e.period)
-        s, b, d = compose_digits(half or e.period, compose_triples, leaves)
-        num, den = affine_fixed_point((-s, s + b, d) if half else (s, b, d))
+        composite = compose_period(e.period, compose_triples, leaves, _COMPLEMENT_MAP)
+        num, den = affine_fixed_point(composite)
     if e.preperiod:
         s, b, d = compose_digits(e.preperiod, compose_triples, leaves)
         num, den = s * num + b * den, d * den

@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
 from .antiderivative import (
@@ -232,13 +233,16 @@ def _suite_geometry(check: _Checker, rng: SplitMix64, samples: int) -> None:
             mass_measure(i).total(),
         )
         check.holds(f"mass bound at level {i}", mass_bound_check(i))
+    # explicit 50-digit contexts: the caller's decimal context is never read
     target = dimension_estimate([box_count(5)])
     check.holds(
         "dimension estimates agree across levels",
-        abs(dimension_estimate([box_count(3)]) - target) < Decimal("1e-45"),
+        Context(prec=50).subtract(dimension_estimate([box_count(3)]), target).copy_abs()
+        < Decimal("1e-45"),
     )
     lengths = list(arc_length_profile(6))
-    lower = Decimal(5).sqrt() / 2
+    # sqrt(5)/2 rounded down, from the integer square root of 5 * 10**100
+    lower = Context(prec=50, rounding=ROUND_FLOOR).divide(isqrt(5 * 10**100), 2 * 10**50)
     check.holds(
         "arc lengths strictly increasing",
         all(a < b for a, b in zip(lengths, lengths[1:])),

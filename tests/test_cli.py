@@ -4,10 +4,12 @@ Golden strings here pin the exact bytes of each output format; any
 formatting change must update them deliberately.
 """
 
+import decimal
 import hashlib
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from bourbaki import geometry
 from bourbaki.cli import run
 from bourbaki.errors import ParameterError
 from bourbaki.render import csv_table, decimal_12, format_rational, format_value
+from bourbaki.verify import run_verification
 
 F = Fraction
 
@@ -256,6 +259,20 @@ class TestGeometryCommands:
         assert captured.out == "0 1.11803398875\n"
         assert "arc length at level 1 not certified" in captured.err
 
+    def test_boxdim_broken_enclosure_exits_2(self, capsys, monkeypatch):
+        # an upper bound 10**-6 too high: the bounds print different 12 digits
+        bounds = geometry._dimension_bounds
+
+        def widened(report):
+            lo, value, hi = bounds(report)
+            return lo, value, hi + Decimal("1e-6")
+
+        monkeypatch.setattr(geometry, "_dimension_bounds", widened)
+        assert run(["boxdim", "--max-level", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension estimate not certified" in captured.err
+
     def test_measure_golden(self, capsys):
         assert run(["measure", "--digits", "00"]) == 0
         assert capsys.readouterr().out == "4/25 (0.160000000000)\n"
@@ -286,6 +303,14 @@ class TestVerifyCommand:
 
     def test_bad_suite(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 1
+
+    @pytest.mark.parametrize(
+        "setting", [("prec", 12), ("rounding", decimal.ROUND_CEILING)], ids=["prec", "rounding"]
+    )
+    def test_geometry_suite_ignores_the_callers_decimal_context(self, setting):
+        with decimal.localcontext() as ctx:
+            setattr(ctx, *setting)
+            assert run_verification("geometry", 42, 5).failures == []
 
     def test_seed_range(self, capsys):
         assert run(["verify", "--suite", "geometry", "--seed", str(2**64)]) == 1

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bourbaki.antiderivative import build_F_iterate, eval_F_exact
 from bourbaki.function import FamilyParam, eval_exact
-from bourbaki.ternary import antiperiodic_half, from_ternary, to_ternary
+from bourbaki.ternary import from_ternary, to_ternary
 from reference import AffineMap, digit_step_map, reference_bracket, reference_close, reference_F
 
 F = Fraction
@@ -104,7 +104,10 @@ class TestPeriodKinds:
         assert anti == (L % 2 == 0 and pow(3, L // 2, qp) == qp - 1)
         period = to_ternary(F(1, qp)).period
         assert len(period) == L
-        assert bool(antiperiodic_half(period)) == anti
+        # antiperiodic: the second half is the first with digits 0 and 2 swapped
+        h = L // 2
+        swapped = period[:h].translate(bytes.maketrans(b"\x00\x02", b"\x02\x00"))
+        assert (L % 2 == 0 and period[h:] == swapped) == anti
 
     def test_every_residue_of_L_mod_6_in_both_kinds(self):
         kinds = {(L % 6, anti) for L, anti in PERIODS.values()}
@@ -136,10 +139,21 @@ class TestRoutesAgree:
         assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param.a))
         assert from_ternary(e) == x
 
-    @pytest.mark.parametrize("x", [F(2, 9 * 1999), F(5, 3 * 3041)])
-    def test_F_at_long_antiperiodic_periods(self, x):
-        # periods of 1998 and 3040 digits, after 2 and 1 preperiod digits
+    @pytest.mark.parametrize("x", [F(2, 9 * 1999), F(5, 3 * 3041), F(5, 3 * 2003)])
+    def test_F_at_long_periods(self, x):
+        # antiperiodic periods of 1998 and 3040 digits, after 2 and 1 preperiod
+        # digits, and an odd period of 1001 digits, which takes the full route
         assert eval_F_exact(x) == reference_F(x)
+
+    @pytest.mark.parametrize("qp", [2003, 2027, 2039])
+    def test_f_a_at_long_odd_periods(self, qp):
+        # odd periods of 1001, 1013 and 1019 digits, after one preperiod digit
+        x, param = F(7, 3 * qp), FamilyParam(F(37, 76))
+        e = to_ternary(x)
+        assert len(e.period) % 2 and len(e.preperiod) == 1
+        assert eval_exact(x) == reference_close(e, digit_step_map)
+        assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param.a))
+        assert from_ternary(e) == x
 
 
 class TestEnclosures:

@@ -43,6 +43,8 @@ from reference import reference_cover, reference_root_sums
 F = Fraction
 
 CTX = decimal.Context(prec=50)
+# reference for the directed 50-digit bounds: its own error is below 10**-115
+REF = decimal.Context(prec=120)
 
 
 class TestBoxCount:
@@ -86,6 +88,15 @@ class TestDimensionEstimate:
             dimension_estimate([box_count(0)])
         with pytest.raises(EmptyInputError):
             dimension_estimate([])
+
+    @pytest.mark.parametrize("i", range(1, 11))
+    def test_bounds_enclose_a_120_digit_reference(self, i):
+        report = BoxCountReport(i, F(1, 3**i), 5**i)
+        ref = REF.divide(REF.ln(Decimal(5**i)), REF.multiply(Decimal(i), REF.ln(Decimal(3))))
+        lo, value, hi = geometry._dimension_bounds(report)
+        assert lo <= ref <= hi
+        assert REF.subtract(hi, lo) < Decimal("1e-48")
+        assert dimension_estimate([report]) == value
 
     def test_approximate_float_value(self):
         assert float(dimension_estimate([box_count(4)])) == pytest.approx(
@@ -190,6 +201,20 @@ class TestMassBound:
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):
             mass_bound_check(9)
+
+    @pytest.mark.parametrize("i", range(9))
+    def test_class_bounds_enclose_a_120_digit_reference(self, i):
+        # one class per count of digit-1 steps; at level 0 the diameter is sqrt(2) >= 1
+        s = REF.divide(REF.ln(Decimal(5)), REF.ln(Decimal(3)))
+        classes = list(geometry._mass_classes(i))
+        assert [ones for ones, _, _ in classes] == (list(range(i + 1)) if i else [])
+        for ones, mass_up, rhs_down in classes:
+            mass = F(2 ** (i - ones), 5**i)
+            assert mass <= mass_up < mass + F(1, 10**50)
+            diam = REF.sqrt(REF.divide(Decimal(1 + 4 ** (i - ones)), Decimal(9**i)))
+            rhs = REF.multiply(Decimal(5), REF.exp(REF.multiply(s, REF.ln(diam))))
+            assert rhs_down <= rhs
+            assert REF.subtract(rhs, rhs_down) < REF.multiply(rhs, Decimal("1e-45"))
 
 
 class TestArcLength:
