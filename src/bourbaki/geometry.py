@@ -1,12 +1,12 @@
 """Fractal geometry of the classical graph: box counts, covers, mass, length.
 
 Counts, covers and the integer root sums of arc lengths are exact; only final
-quotients, logarithms and roots pass through ``decimal`` contexts at 50 digits,
-with directed rounding where an inequality or a printed digit must not rest on
+quotients, logarithms and powers pass through ``decimal`` at 50 digits, with
+directed rounding where an inequality or a printed digit must not rest on
 rounding error.  Decimal's ``ln``, ``exp`` and ``sqrt`` round half-even
-whatever the context's rounding, so a directed bound steps each of their
-results one unit outward (``next_minus``, ``next_plus``): a half-even result
-lies within half a unit of the true value.
+whatever the context's rounding, so ``_outward`` steps each of their results
+one unit outward unless it is exact: a half-even result lies within half a
+unit of the true value.
 
 Grid convention for box counting: the unit square is cut into closed boxes of
 side 3**-i on the origin-anchored grid, and a box is counted when it meets
@@ -41,13 +41,32 @@ MAX_ARC_LEVEL = 12
 
 _PRECISION = 50
 _ROOT_SCALE = 10 ** (2 * _PRECISION)  # isqrt(r * _ROOT_SCALE) is sqrt(r) scaled by 10**50
+_DOWN = decimal.Context(prec=_PRECISION, rounding=decimal.ROUND_FLOOR)
+_UP = decimal.Context(prec=_PRECISION, rounding=decimal.ROUND_CEILING)
+_EVEN = decimal.Context(prec=_PRECISION, rounding=decimal.ROUND_HALF_EVEN)
 
 # Mass weights 2/5, 1/5, 2/5 of digits 0, 1, 2, as numerators over 5.
 _MASS_NUMERATORS = (2, 1, 2)
 
 
-def _context(rounding: str) -> decimal.Context:
-    return decimal.Context(prec=_PRECISION, rounding=rounding)
+def _outward(op: str, x: int | Decimal) -> tuple[Decimal, Decimal, Decimal]:
+    """(lo, value, hi) for the 50-digit ``ln``, ``sqrt`` or ``exp`` of x: value
+    rounded half-even, lo and hi one unit either side unless it is exact.
+    ``Inexact`` is read from a fresh context, as a shared one keeps old flags."""
+    ctx = decimal.Context(prec=_PRECISION)
+    value = getattr(ctx, op)(x)
+    if not ctx.flags[decimal.Inexact]:
+        return value, value, value
+    return ctx.next_minus(value), value, ctx.next_plus(value)
+
+
+def _certified(bounds: tuple[Decimal, Decimal, Decimal], what: str) -> Decimal:
+    """The value of (lo, value, hi) once lo and hi print the same 12 digits
+    (``ConsistencyError`` otherwise), so every printed digit is certified."""
+    lo, value, hi = bounds
+    if decimal_12(lo) != decimal_12(hi):
+        raise ConsistencyError(f"{what} not certified: [{lo}, {hi}]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -79,31 +98,24 @@ def box_count(i: int) -> BoxCountReport:
 
 def _dimension_bounds(r: BoxCountReport) -> tuple[Decimal, Decimal, Decimal]:
     """(lo, value, hi) for log(count) / (level * log 3) at 50 digits: value
-    rounded half-even, and lo <= estimate <= hi from each logarithm stepped
-    one unit outward and the multiply and divide rounded outward."""
-    down, up = _context(decimal.ROUND_FLOOR), _context(decimal.ROUND_CEILING)
-    even = _context(decimal.ROUND_HALF_EVEN)
-    count, level = Decimal(r.count), Decimal(r.level)
-    ln_count, ln_3 = even.ln(count), even.ln(Decimal(3))
+    rounded half-even, and lo <= estimate <= hi from the logarithms' outward
+    bounds and the multiply and divide rounded outward."""
+    ln_count, ln_3 = _outward("ln", r.count), _outward("ln", 3)
     return (
-        down.divide(down.next_minus(ln_count), up.multiply(level, up.next_plus(ln_3))),
-        even.divide(ln_count, even.multiply(level, ln_3)),
-        up.divide(up.next_plus(ln_count), down.multiply(level, down.next_minus(ln_3))),
+        _DOWN.divide(ln_count[0], _UP.multiply(r.level, ln_3[2])),
+        _EVEN.divide(ln_count[1], _EVEN.multiply(r.level, ln_3[1])),
+        _UP.divide(ln_count[2], _DOWN.multiply(r.level, ln_3[0])),
     )
 
 
 def dimension_estimate(reports: Sequence[BoxCountReport]) -> Decimal:
     """log(count) / (level * log 3) for the deepest supplied report, rounded
-    half-even at 50 digits, once the enclosure of ``_dimension_bounds`` prints
-    the same 12 digits at both ends (``ConsistencyError`` otherwise)."""
+    half-even at 50 digits, once ``_certified`` passes ``_dimension_bounds``."""
     usable = [r for r in reports if r.level >= 1]
     if not usable:
         raise EmptyInputError("need at least one report with level >= 1")
     deepest = max(usable, key=lambda r: r.level)
-    lo, value, hi = _dimension_bounds(deepest)
-    if decimal_12(lo) != decimal_12(hi):
-        raise ConsistencyError(f"dimension estimate not certified: [{lo}, {hi}]")
-    return value
+    return _certified(_dimension_bounds(deepest), "dimension estimate")
 
 
 @dataclass(frozen=True)
@@ -205,27 +217,18 @@ def mass_measure(level: int) -> MassMeasure:
 
 
 def _mass_classes(i: int) -> Iterator[tuple[int, Decimal, Decimal]]:
-    """(ones, mass rounded up, 5 * diam ** log3(5) rounded down) for each
-    class of level-i rectangles with diam < 1, a class being the number of
-    digit-1 steps in the path; diam >= 1 makes the bound at least 5, above
-    any mass.  With diam < 1 the product s * ln(diam) is negative, so its
-    lower bound needs s rounded *up* and ln(diam) (via diam) rounded down.
+    """(ones, mass rounded up, 5 * diam ** s rounded down), s = log3(5), for
+    each class of level-i rectangles, a class being the number of digit-1
+    steps in the path.  With k = i - ones the mass is 2**k / 5**i and
+    diam**2 = (1 + 4**k) / 9**i, so by 3**s = 5 the right-hand side is
+    5 * (1 + 4**k) ** (s / 2) / 5**i: every factor is positive, so each one
+    is rounded down, s / 2 as ln 5 rounded down over 2 ln 3 rounded up.
     """
-    down = _context(decimal.ROUND_FLOOR)
-    up = _context(decimal.ROUND_CEILING)
-    s_up = up.divide(up.next_plus(up.ln(Decimal(5))), down.next_minus(down.ln(Decimal(3))))
+    half_s = _DOWN.divide(_outward("ln", 5)[0], _UP.multiply(2, _outward("ln", 3)[2]))
     for ones in range(i + 1):
-        # mass = 2**(i-ones) / 5**i; width 3**-i and height 2**(i-ones) / 3**i
-        # give diam**2 = (1 + 4**(i-ones)) / 9**i.
-        diam_sq_num, diam_sq_den = 1 + 4 ** (i - ones), 9**i
-        if diam_sq_num >= diam_sq_den:
-            continue
-        diam_sq_down = down.divide(Decimal(diam_sq_num), Decimal(diam_sq_den))
-        diam_down = down.next_minus(down.sqrt(diam_sq_down))
-        ln_down = down.next_minus(down.ln(diam_down))  # negative
-        power_down = down.next_minus(down.exp(down.multiply(s_up, ln_down)))
-        mass_up = up.divide(Decimal(2 ** (i - ones)), Decimal(5**i))
-        yield ones, mass_up, down.multiply(Decimal(5), power_down)
+        k = i - ones
+        power = _outward("exp", _DOWN.multiply(half_s, _outward("ln", 1 + 4**k)[0]))[0]
+        yield ones, _UP.divide(2**k, 5**i), _DOWN.divide(_DOWN.multiply(5, power), 5**i)
 
 
 def mass_bound_check(i: int) -> bool:
@@ -278,19 +281,15 @@ def _length_bounds(t: BreakpointTable) -> tuple[Decimal, Decimal, Decimal]:
     floor_sum, ceil_sum = _root_sums(t)
     den = Decimal(t.y_denominator * 10**_PRECISION)
     return (
-        _context(decimal.ROUND_FLOOR).divide(Decimal(floor_sum), den),
-        _context(decimal.ROUND_HALF_EVEN).divide(Decimal(floor_sum), den),
-        _context(decimal.ROUND_CEILING).divide(Decimal(ceil_sum), den),
+        _DOWN.divide(Decimal(floor_sum), den),
+        _EVEN.divide(Decimal(floor_sum), den),
+        _UP.divide(Decimal(ceil_sum), den),
     )
 
 
 def _polyline_length(t: BreakpointTable) -> Decimal:
-    """The value of ``_length_bounds``, once lo and hi print the same 12
-    digits (``ConsistencyError`` otherwise), so every printed digit is certified."""
-    lo, value, hi = _length_bounds(t)
-    if decimal_12(lo) != decimal_12(hi):
-        raise ConsistencyError(f"arc length at level {t.level} not certified: [{lo}, {hi}]")
-    return value
+    """The value of ``_length_bounds`` once ``_certified`` passes it."""
+    return _certified(_length_bounds(t), f"arc length at level {t.level}")
 
 
 def arc_length(i: int) -> Decimal:

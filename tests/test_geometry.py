@@ -11,6 +11,7 @@ import decimal
 import itertools
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -45,6 +46,63 @@ F = Fraction
 CTX = decimal.Context(prec=50)
 # reference for the directed 50-digit bounds: its own error is below 10**-115
 REF = decimal.Context(prec=120)
+OUTWARD = geometry._outward
+
+
+def _widen_call(monkeypatch, n):
+    """Make ``geometry._outward`` widen the (lo, hi) of its n-th call from now
+    on (counting from 0; every call for n=None) by 10**-40."""
+    count = itertools.count()
+
+    def outward(op, x):
+        lo, value, hi = OUTWARD(op, x)
+        if n is None or next(count) == n:
+            return REF.subtract(lo, Decimal("1e-40")), value, REF.add(hi, Decimal("1e-40"))
+        return lo, value, hi
+
+    monkeypatch.setattr(geometry, "_outward", outward)
+
+
+class TestOutward:
+    @pytest.mark.parametrize("op", ["ln", "sqrt", "exp"])
+    def test_bounds_enclose_a_120_digit_reference(self, op):
+        above = set()
+        for n in range(2, 40):
+            if op == "sqrt" and isqrt(n) ** 2 == n:
+                continue
+            ref = getattr(REF, op)(Decimal(n))
+            lo, value, hi = OUTWARD(op, Decimal(n))
+            assert lo < ref < hi, n
+            assert value == CTX.plus(ref), n
+            above.add(value > ref)
+        # half-even results on both sides of the true value: neither step is spare
+        assert above == {False, True}
+
+    @pytest.mark.parametrize(
+        "op,x,exact", [("ln", 1, 0), ("sqrt", 4, 2), ("sqrt", "2.25", "1.5"), ("exp", 0, 1)]
+    )
+    def test_exact_results_are_their_own_bounds(self, op, x, exact):
+        OUTWARD("ln", Decimal(2))  # an inexact result first leaves no flag behind
+        assert OUTWARD(op, Decimal(x)) == (Decimal(exact),) * 3
+
+    # Widening one call's bounds at a time shows that each call site takes the
+    # right end: every lower bound it feeds goes down and every upper bound up.
+    @pytest.mark.parametrize("i", range(1, 11))
+    def test_dimension_bounds_take_the_outer_ends(self, monkeypatch, i):
+        report = BoxCountReport(i, F(1, 3**i), 5**i)
+        lo, _, hi = geometry._dimension_bounds(report)
+        for n in (None, 0, 1):  # every call, ln(count), ln 3
+            _widen_call(monkeypatch, n)
+            wide_lo, _, wide_hi = geometry._dimension_bounds(report)
+            assert wide_lo < lo and hi < wide_hi, n
+
+    @pytest.mark.parametrize("i", range(9))
+    def test_mass_right_hand_sides_take_the_lower_ends(self, monkeypatch, i):
+        rhs = [r for _, _, r in geometry._mass_classes(i)]
+        for n in (None, *range(2 * i + 4)):  # every call, ln 5, ln 3, then ln and exp per class
+            _widen_call(monkeypatch, n)
+            wide = [r for _, _, r in geometry._mass_classes(i)]
+            assert all(w <= r for w, r in zip(wide, rhs)) and wide != rhs, n
 
 
 class TestBoxCount:
@@ -102,6 +160,16 @@ class TestDimensionEstimate:
         assert float(dimension_estimate([box_count(4)])) == pytest.approx(
             1.464973520717927, abs=1e-12
         )
+
+    def test_pinned_50_digit_values(self):
+        head = "1.464973520717927167197040407678640396307932366666"
+        values = [str(dimension_estimate([box_count(i)])) for i in range(1, 11)]
+        assert values == [head + last for last in "1111112121"]
+
+    def test_count_one_is_exactly_zero_in_any_call_order(self):
+        # ln 1 is exact, so its bounds are not stepped, even after inexact logarithms
+        dimension_estimate([box_count(3)])
+        assert dimension_estimate([BoxCountReport(1, F(1, 3), 1)]) == 0
 
 
 class TestCoverLevel:
@@ -204,10 +272,10 @@ class TestMassBound:
 
     @pytest.mark.parametrize("i", range(9))
     def test_class_bounds_enclose_a_120_digit_reference(self, i):
-        # one class per count of digit-1 steps; at level 0 the diameter is sqrt(2) >= 1
+        # one class per count of digit-1 steps, level 0 included
         s = REF.divide(REF.ln(Decimal(5)), REF.ln(Decimal(3)))
         classes = list(geometry._mass_classes(i))
-        assert [ones for ones, _, _ in classes] == (list(range(i + 1)) if i else [])
+        assert [ones for ones, _, _ in classes] == list(range(i + 1))
         for ones, mass_up, rhs_down in classes:
             mass = F(2 ** (i - ones), 5**i)
             assert mass <= mass_up < mass + F(1, 10**50)
@@ -235,6 +303,20 @@ class TestArcLength:
 
     def test_level_two_value(self):
         assert abs(arc_length(2) - Decimal("1.1269")) < Decimal("5e-4")
+
+    def test_pinned_50_digit_values(self):
+        assert [str(v) for v in arc_length_profile(9)] == [
+            "1.1180339887498948482045868343656381177203091798058",
+            "1.1246589890980059077479861461111254259035310280653",
+            "1.1268650283888473664894512622303836218295317449076",
+            "1.1275991623601341961444634335558619371480079923511",
+            "1.1278436767629512156101232778363559055356242478933",
+            "1.1279251532986300187114250153114121664245497501323",
+            "1.1279523082230126571570359922277272952783259666369",
+            "1.1279613593273329027083874914214401891009212912251",
+            "1.1279643762888896609227472623219324549591420077873",
+            "1.1279653819327830024160183722404425850206949331749",
+        ]
 
     @staticmethod
     def _ceiling_sum(i):
