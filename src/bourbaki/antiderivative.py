@@ -6,21 +6,22 @@ integrating over t gives, for a point with leading base-3 digit d and tail t:
 
     F((d + t)/3) = F(d/3) + (s_d F(t) + b_d t)/(3q)
 
-where 6q F(d/3) is the sum of s_e + 2 b_e over the digits e < d, since
-f integrates to 1/2 over [0, 1].  The tail value t enters the intercepts, so
-every walk acts on the pair (t, G) with G = 2 F(t), and each digit is an
-integer joint affine map over the denominator 3q:
+where 6q F(d/3) = c_d sums s_e + 2 b_e over the digits e < d, since f
+integrates to 1/2 over [0, 1].  With G = 2 F, a block of n digits read as
+the base-3 integer N then has integer constants (S, Y, V, D, N, P, K),
+one digit being (s_d, c_d, 2 b_d, 3q, d, 3, q) (``_compose_blocks``):
 
-    t' = (q t + q d)/(3q)       G' = (2 b_d t + s_d G + 6q F(d/3))/(3q)
+    G((N + t)/P) = (S G(t) + Y + V t)/D,    P = 3**n, K = q**n, D = P K
 
-The composite over one period, built over six-digit block leaves by
-``compose_period``, is contracting in each component; its two fixed-point
-equations give (t*, G*) exactly, without per-rotation tail values.  For an
-antiperiodic period (its second half the digit complement of the first)
-that is the composite of the first half followed by the complement map
-(t, G) -> (1 - t, G + 1 - 2 t), since F(1 - t) = F(t) + 1/2 - t.
-The preperiod composite then carries (t*, G*) to (x, 2 F(x)), and the one
-reduction is the final Fraction.
+Over a period every tail is rho/q', rho the long-division remainder, and
+a block read from rho leaves rho' = P rho - q' N, so on v = q' G it is the
+integer triple v -> (S v + q' Y + V rho')/D: one triple per six-digit
+block, read at its tail remainder.  The period composite's
+``affine_fixed_point`` is 2 q' F(t*), and the remainder walk must close.
+For an antiperiodic period the tail after the first half is 1 - t*, and
+F(1 - t) = F(t) + 1/2 - t makes the second half v -> v + q' - 2 rho.  The
+preperiod composite, read at rho, carries 2 q' F(t*) to 2 q' F(x), and the
+one reduction is the final Fraction.
 
 Breakpoint tables: over column k of the level-i grid the graph of f is the
 affine image y = y_k + (y_{k+1} - y_k) f(t) of the whole graph, and
@@ -40,12 +41,15 @@ from typing import Iterator
 from .errors import ConsistencyError, OrderError, ParameterError
 from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
 from .ternary import (
+    _block_leaves,
     affine_fixed_point,
     check_index,
     check_unit_interval,
+    compose_chain,
     compose_digits,
-    compose_period,
+    compose_triples,
     digit_triples,
+    half_period,
     to_ternary,
 )
 
@@ -71,64 +75,73 @@ def build_F_iterate(i: int) -> BreakpointTable:
     return _integrate(build_iterate(i))
 
 
-def _joint_leaves(a: Fraction) -> tuple[tuple[int, ...], ...]:
-    """Joint maps of digits 0, 1 and 2 as integer 6-tuples (ts, tb, p, q, r, den):
-    t' = (ts t + tb)/den and G' = (p t + q G + r)/den, with G = 2 F, from the
-    digit triples of f_a; r = 6q F(d/3) accumulates s_e + 2 b_e over e < d."""
-    leaves, r = [], 0
+def _digit_maps(a: Fraction) -> tuple[tuple[int, ...], ...]:
+    """F's maps of digits 0, 1 and 2 as one-digit block constants
+    (S, Y, V, D, N, P, K) = (s_d, c_d, 2 b_d, 3q, d, 3, q), from the digit
+    triples (s_d, b_d, q) of f_a; c_d = 6q F(d/3) sums s_e + 2 b_e over e < d."""
+    maps, c = [], 0
     for d, (s, b, q) in enumerate(digit_triples(a)):
-        leaves.append((q, q * d, 2 * b, s, r, 3 * q))
-        r += s + 2 * b
-    return tuple(leaves)
+        maps.append((s, c, 2 * b, 3 * q, d, 3, q))
+        c += s + 2 * b
+    return tuple(maps)
 
 
-_JOINT_LEAF = _joint_leaves(Fraction(2, 3))
-# (t, G) -> (1 - t, G + 1 - 2 t), from F(1 - t) = F(t) + 1/2 - t, for every a
-_JOINT_COMPLEMENT = (-1, 1, -2, 1, 1, 1)
+_DIGIT_MAPS = _digit_maps(Fraction(2, 3))
 
 
-def _compose_joint(outer, inner):
-    tso, tbo, po, qo, ro, do = outer
-    tsi, tbi, pi, qi, ri, di = inner
-    return (
-        tso * tsi,
-        tso * tbi + tbo * di,
-        po * tsi + qo * pi,
-        qo * qi,
-        po * tbi + qo * ri + ro * di,
-        do * di,
-    )
+def _compose_blocks(outer, inner):
+    """The constants (S, Y, V, D, N, P, K) of block w1 then w2, from those of w1
+    (outer) and w2 (inner): G(x) = (S G(t) + Y + V t)/D for x = (N + t)/P."""
+    s1, y1, v1, d1, n1, p1, k1 = outer
+    s2, y2, v2, d2, n2, p2, k2 = inner
+    vk = v1 * k2
+    return (s1 * s2, s1 * y2 + y1 * d2 + vk * n2, s1 * v2 + vk, d1 * d2,
+            p2 * n1 + n2, p1 * p2, k1 * k2)
+
+
+def _period_map(period: bytes, rho: int, q_free: int) -> tuple[int, int, int]:
+    """The period composite of v = 2 q' F(t) at the periodic tail rho/q', as an
+    integer triple: one leaf (S, q' Y + V rho', D) per six-digit block, read at
+    the remainder rho' where that block ends."""
+    blocks = _block_leaves(_compose_blocks, _DIGIT_MAPS)
+    walk, halved = half_period(period)
+    leaves, r = [], rho
+    for k in range(0, len(walk), 6):
+        s, y, v, d, n, p, _ = blocks[walk[k:k + 6]]
+        r = p * r - q_free * n
+        leaves.append((s, q_free * y + v * r, d))
+    if halved:
+        # the tail after walk is 1 - t*, and 2 F(1 - t) = 2 F(t) + 1 - 2 t
+        leaves.append((1, q_free - 2 * rho, 1))
+        rho = q_free - rho
+    if r != rho:
+        raise ConsistencyError("the remainder walk does not close the period")
+    return compose_chain(leaves, compose_triples)
 
 
 def eval_F_exact(x) -> Fraction:
     """Exact value of the antiderivative at a rational point in [0, 1].
 
-    With m preperiod digits read as the base-3 integer P, the periodic tail
-    is t* = 3**m x - P: for x = a/q that is a/q' mod 1 (1 for x = 1), with q'
-    the 3-free part of q.  The period composite (``compose_period``, with
-    the complement map ``_JOINT_COMPLEMENT``) must send t* to itself, and
-    G* is the ``affine_fixed_point`` of its G-row at t*.  The preperiod
-    composite carries (t*, G*) to (t, 2 F(x)), and t must be x.
+    With m preperiod digits read as the base-3 integer N, the periodic tail
+    is t* = 3**m x - N = rho/q', q' the 3-free part of the denominator of x
+    and rho its numerator mod q' (q' for x = 1), so the walk from x must
+    end at rho.  2 q' F(t*) is the ``affine_fixed_point`` of
+    ``_period_map``, and the preperiod composite, read at rho, carries it
+    to 2 q' F(x).
     """
     x = check_unit_interval(x)
     e = to_ternary(x)
-    tn, gn, den = 0, 0, 1  # the pair (t, G) = (tn, gn)/den
+    q_free = x.denominator // 3 ** len(e.preperiod)
+    rho, num, den = 0, 0, 1  # t* = rho/q' and 2 q' F(t*) = num/den
     if e.period:
-        composite = compose_period(e.period, _compose_joint, _JOINT_LEAF, _JOINT_COMPLEMENT)
-        ts, tb, p, q, r, d = composite
-        q_free = x.denominator // 3 ** len(e.preperiod)
-        t_num = x.numerator % q_free or q_free  # t* = t_num / q_free
-        if ts * t_num + tb * q_free != d * t_num:
-            raise ConsistencyError("joint closure disagrees with the tail value")
-        # (t*, G*) = (tn, gn)/den, over the common denominator of t* and G*
-        gn, den = affine_fixed_point((q * q_free, p * t_num + r * q_free, d * q_free))
-        tn = t_num * (d - q)
+        rho = x.numerator % q_free or q_free
+        num, den = affine_fixed_point(_period_map(e.period, rho, q_free))
     if e.preperiod:
-        ts, tb, p, q, r, d = compose_digits(e.preperiod, _compose_joint, _JOINT_LEAF)
-        tn, gn, den = ts * tn + tb * den, p * tn + q * gn + r * den, d * den
-    if tn * x.denominator != x.numerator * den:
-        raise ConsistencyError("the preperiod walk does not end at x")
-    return Fraction(gn, 2 * den)
+        s, y, v, d, n, _, _ = compose_digits(e.preperiod, _compose_blocks, _DIGIT_MAPS)
+        if x.numerator - n * q_free != rho:
+            raise ConsistencyError("the preperiod walk does not end at x")
+        num, den = s * num + (q_free * y + v * rho) * den, d * den
+    return Fraction(num, 2 * q_free * den)
 
 
 def integral_symmetric(x) -> Fraction:

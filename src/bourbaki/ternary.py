@@ -16,17 +16,17 @@ Everything downstream is built from the objects here, over the stdlib
   contracting integer triple, which is the value of a periodic tail.
 * ``digit_triples`` -- the one statement of the digit maps of f_a, as
   integer triples (s_d, b_d, q) with f((d + t)/3) = (s_d f(t) + b_d)/q for
-  a = p/q; the antiderivative's joint maps are derived from them.
+  a = p/q; the antiderivative's digit maps are derived from them.
 * ``close_chain`` -- the one closure that turns an expansion into a value
   under the digit maps of a family member: f and f_a through theirs, and
   the expansion's own value through v -> (v + d)/3, the maps of the member
   a = 1/3, whose limit function is the identity.
-* ``compose_period`` -- the one half-period route, over cached six-digit
-  block leaves (``compose_digits``).  When 3**(L/2) = -1 mod q', the
-  period's second half is the digit complement (0 <-> 2) of the first, and
-  its composite is that of the first half followed by the map that
-  t -> 1 - t induces on the closure's state: v -> 1 - v here, since
-  f(1 - t) = 1 - f(t) for every f_a.
+* ``half_period`` -- the one test of the half-period route: when
+  3**(L/2) = -1 mod q', the period's second half is the digit complement
+  (0 <-> 2) of the first.  A closure then composes only the first half,
+  over cached six-digit block leaves (``compose_digits``), followed by the
+  map that t -> 1 - t induces on its state: v -> 1 - v in ``close_chain``,
+  since f(1 - t) = 1 - f(t) for every f_a.
 
 No floating point is used anywhere in this module.
 """
@@ -339,30 +339,34 @@ def compose_digits(digits: bytes, compose: Callable, leaves: tuple):
     return compose_chain([blocks[digits[k:k + 6]] for k in range(0, len(digits), 6)], compose)
 
 
-def compose_period(period: bytes, compose: Callable, leaves: tuple, complement):
-    """The ``compose_digits`` composite of a nonempty period.  When the period
-    is w then its digit complement (0 <-> 2), the tail after w is 1 - t for
-    the periodic tail t, so this is compose(composite of w, ``complement``),
-    ``complement`` being the map that t -> 1 - t induces on the closure's state."""
+def half_period(period: bytes) -> tuple[bytes, bool]:
+    """The digits a closure composes for a nonempty period, and whether they are
+    its first half w: (w, True) when the period is w then its digit complement
+    (0 <-> 2), since the periodic tail t is then 1 - t after w; else (period, False)."""
     h, odd = divmod(len(period), 2)
-    if odd or period[h:] != period[:h].translate(_COMPLEMENT):
-        return compose_digits(period, compose, leaves)
-    return compose(compose_digits(period[:h], compose, leaves), complement)
+    w = period[:h]
+    if odd or period[h:] != w.translate(_COMPLEMENT):
+        return period, False
+    return w, True
 
 
 def close_chain(e: TernaryExpansion, a: Fraction) -> Fraction:
     """Value of f_a at the point with expansion e, under the maps ``digit_triples(a)``.
 
     The periodic tail value (0 for a terminating expansion) is the
-    ``affine_fixed_point`` of the period composite (``compose_period``, with
-    the complement map v -> 1 - v), which the preperiod composite carries to
-    the point.  Both are unreduced triples from six-digit block leaves, so
-    the one gcd is in the final Fraction, which matters for long periods.
+    ``affine_fixed_point`` of the period composite (of its ``half_period``,
+    then v -> 1 - v if that is the first half), which the preperiod
+    composite carries to the point.  Both are unreduced triples from
+    six-digit block leaves, so the one gcd is in the final Fraction, which
+    matters for long periods.
     """
     leaves = digit_triples(a)
     num, den = 0, 1  # the tail value num/den
     if e.period:
-        composite = compose_period(e.period, compose_triples, leaves, _COMPLEMENT_MAP)
+        digits, halved = half_period(e.period)
+        composite = compose_digits(digits, compose_triples, leaves)
+        if halved:
+            composite = compose_triples(composite, _COMPLEMENT_MAP)
         num, den = affine_fixed_point(composite)
     if e.preperiod:
         s, b, d = compose_digits(e.preperiod, compose_triples, leaves)

@@ -144,8 +144,8 @@ class TestEvalFExact:
             assert t.y_at(k) == eval_F_exact(F(k, 3**i))
 
     def test_agrees_with_deep_table(self):
-        # The table sums f's numerators and eval_F_exact composes the joint
-        # digit maps: the two routes share no F constant.
+        # The table sums f's numerators and eval_F_exact composes F's digit
+        # maps: the two routes share no F constant.
         i = 12
         t = build_F_iterate(i)
         rng = SplitMix64(12)
@@ -182,23 +182,27 @@ class TestEvalFExact:
         expected = F(2 ** (i - 1), 9**i) * x + F(2, 9) ** i * eval_F_exact(x)
         assert eval_F_exact((2 + x) / 3**i) - eval_F_exact(F(2, 3**i)) == expected
 
-    def test_joint_leaves_are_derived_from_the_digit_triples(self):
-        # the joint maps read by hand off F's three scaling identities at a = 2/3
-        leaves = ((3, 0, 0, 2, 0, 9), (3, 3, 4, -1, 2, 9), (3, 6, 2, 2, 5, 9))
-        assert antiderivative._JOINT_LEAF == leaves
+    def test_digit_maps_are_derived_from_the_digit_triples(self):
+        # (S, Y, V, D, N, P, K) with G(x) = (S G(t) + Y + V t)/D for x = (N + t)/P,
+        # G = 2 F, read by hand off F's scaling identities at a = 2/3:
+        #   F(t/3) = (2/9) F(t)                   G(x) = (2 G(t))/9
+        #   F((1 + t)/3) = 1/9 + (2 t - F(t))/9   G(x) = (-G(t) + 2 + 4 t)/9
+        #   F((2 + t)/3) = 5/18 + (t + 2 F(t))/9  G(x) = (2 G(t) + 5 + 2 t)/9
+        maps = ((2, 0, 0, 9, 0, 3, 3), (-1, 2, 4, 9, 1, 3, 3), (2, 5, 2, 9, 2, 3, 3))
+        assert antiderivative._DIGIT_MAPS == maps
 
     @pytest.mark.parametrize(
         "x,message",
         [
-            (F(1, 7), "joint closure disagrees with the tail value"),  # period 010212: half route
+            (F(1, 7), "remainder walk"),  # period 010212: half route
             (F(1, 3), "the preperiod walk does not end at x"),  # terminating: 0.1
-            (F(2, 13), "joint closure disagrees with the tail value"),  # period 011: full route
+            (F(2, 13), "remainder walk"),  # period 011: full route
         ],
     )
     def test_corrupted_t_row_is_caught(self, monkeypatch, x, message):
-        # Digit 1's t-row is t' = (3 t + 3)/9; shift its intercept.
-        zero, _, two = antiderivative._JOINT_LEAF
-        monkeypatch.setattr(antiderivative, "_JOINT_LEAF", (zero, (3, 4, 4, -1, 2, 9), two))
+        # Digit 1 reads as N = 1, so the tail after it is 3 x - 1; shift its N to 2.
+        zero, _, two = antiderivative._DIGIT_MAPS
+        monkeypatch.setattr(antiderivative, "_DIGIT_MAPS", (zero, (-1, 2, 4, 9, 2, 3, 3), two))
         with pytest.raises(ConsistencyError, match=message):
             eval_F_exact(x)
 

@@ -10,6 +10,10 @@ references here walk one digit at a time:
   the periodic tail;
 * F: a ``Fraction`` walk of the (t, F) maps read off the scaling identities
   of F, one digit at a time, then the fixed point of the period composite.
+  ``eval_F_exact`` instead reads each six-digit block at the long-division
+  remainder where it ends, so F(1 - x) - F(x) = 1/2 - x, whose tail
+  1 - t walks the remainders from the other end, is checked at full-period
+  primes, and long-period values are pinned by their SHA-256.
 
 The denominators cover both kinds of period (antiperiodic, when 3**(L/2) is
 -1 mod q', and not) at every L mod 6, with preperiods of 0 to 3 digits.
@@ -20,14 +24,16 @@ refinement.  Neither route reads the digit maps.
 """
 
 from fractions import Fraction
+import hashlib
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bourbaki import antiderivative, ternary
 from bourbaki.antiderivative import build_F_iterate, eval_F_exact
 from bourbaki.function import FamilyParam, eval_exact
-from bourbaki.ternary import from_ternary, to_ternary
+from bourbaki.ternary import from_ternary, half_period, to_ternary
 from reference import AffineMap, digit_step_map, reference_bracket, reference_close, reference_F
 
 F = Fraction
@@ -81,6 +87,16 @@ def _point(qp: int, m: int, pre: int, start: int) -> Fraction:
     return (pre % 3**m + F(start, qp)) / 3**m
 
 
+# SHA-256 of f"{numerator:x}/{denominator:x}" for F at long periods
+F_DIGESTS = [
+    # antiperiodic, 49,998 digits
+    (F(7, FULL_PERIOD_PRIMES[-1]), "d3af0d2343df0ad726bd0685a0bec9563b0d6ee4683ff763d3e39a635414e44a"),
+    # odd period of 49,511 digits: the full route
+    (F(1, 99023), "6d101c73324d51abf26cd1c3d1447131d8ea743e09fd1b3fe0a76fad3aae5632"),
+    # two preperiod digits, then an antiperiodic period of 1998 digits
+    (F(5, 9 * 1999), "1829e66edd8634552ac7fc22c4e2d1f174a9c6d70147c2b21b860cfbe1e64fef"),
+]
+
 listed_points = _points(st.sampled_from(sorted(PERIODS)))
 small_points = _points(st.integers(1, 3000).filter(lambda n: n % 3))
 long_points = _points(st.sampled_from(FULL_PERIOD_PRIMES))
@@ -93,6 +109,15 @@ F_TABLE = build_F_iterate(8)
 
 def _base3_step(d: int) -> AffineMap:
     return AffineMap(F(1, 3), F(d, 3))
+
+
+def _in_F_table_enclosure(x: Fraction, value: Fraction) -> bool:
+    # F is nondecreasing with slope f <= 1, so over the column k of the
+    # level-L grid, F(x) >= F_L(k) and F(x) <= min(F_L(k + 1), F_L(k) + x - k/3**L)
+    n = 3**F_TABLE.level
+    k = min(int(x * n), n - 1)
+    lo, hi = F_TABLE.y_at(k), F_TABLE.y_at(k + 1)
+    return lo <= value <= min(hi, lo + x - F(k, n))
 
 
 class TestPeriodKinds:
@@ -108,6 +133,7 @@ class TestPeriodKinds:
         h = L // 2
         swapped = period[:h].translate(bytes.maketrans(b"\x00\x02", b"\x02\x00"))
         assert (L % 2 == 0 and period[h:] == swapped) == anti
+        assert half_period(period) == ((period[:h], True) if anti else (period, False))
 
     def test_every_residue_of_L_mod_6_in_both_kinds(self):
         kinds = {(L % 6, anti) for L, anti in PERIODS.values()}
@@ -133,17 +159,29 @@ class TestRoutesAgree:
 
     @given(long_points, params)
     @settings(deadline=None, max_examples=5)
+    @example(F(7, FULL_PERIOD_PRIMES[-1]), FamilyParam(F(37, 76)))
     def test_full_period_primes(self, x, param):
         # every period here is antiperiodic, of up to 5 * 10**4 digits
         e = to_ternary(x)
         assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param.a))
         assert from_ternary(e) == x
+        value = eval_F_exact(x)
+        assert eval_F_exact(1 - x) - value == F(1, 2) - x
+        assert _in_F_table_enclosure(x, value)
+        # one constant per block of one to six digits, however long the period
+        blocks = ternary._block_leaves(antiderivative._compose_blocks, antiderivative._DIGIT_MAPS)
+        assert 0 < len(blocks) <= 3 + 9 + 27 + 81 + 243 + 729
 
     @pytest.mark.parametrize("x", [F(2, 9 * 1999), F(5, 3 * 3041), F(5, 3 * 2003)])
     def test_F_at_long_periods(self, x):
         # antiperiodic periods of 1998 and 3040 digits, after 2 and 1 preperiod
         # digits, and an odd period of 1001 digits, which takes the full route
         assert eval_F_exact(x) == reference_F(x)
+
+    @pytest.mark.parametrize("x,digest", F_DIGESTS, ids=[str(x) for x, _ in F_DIGESTS])
+    def test_F_digests_at_long_periods(self, x, digest):
+        v = eval_F_exact(x)
+        assert hashlib.sha256(f"{v.numerator:x}/{v.denominator:x}".encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("qp", [2003, 2027, 2039])
     def test_f_a_at_long_odd_periods(self, qp):
@@ -161,12 +199,7 @@ class TestEnclosures:
     @settings(deadline=None, max_examples=60)
     @example(F(1))
     def test_F_lies_in_its_table_enclosure(self, x):
-        # F is nondecreasing with slope f <= 1, so over the column k of the
-        # level-L grid, F(x) >= F_L(k) and F(x) <= min(F_L(k + 1), F_L(k) + x - k/3**L)
-        n = 3**F_TABLE.level
-        k = min(int(x * n), n - 1)
-        lo, hi = F_TABLE.y_at(k), F_TABLE.y_at(k + 1)
-        assert lo <= eval_F_exact(x) <= min(hi, lo + x - F(k, n))
+        assert _in_F_table_enclosure(x, eval_F_exact(x))
 
     @given(deep_points, params)
     @settings(deadline=None, max_examples=60)
