@@ -15,13 +15,13 @@ one digit being (s_d, c_d, 2 b_d, 3q, d, 3, q) (``_compose_blocks``):
 
 Over a period every tail is rho/q', rho the long-division remainder, and
 a block read from rho leaves rho' = P rho - q' N, so on v = q' G it is the
-integer triple v -> (S v + q' Y + V rho')/D: one triple per six-digit
-block, read at its tail remainder.  The period composite's
-``affine_fixed_point`` is 2 q' F(t*), and the remainder walk must close.
+integer triple v -> (S v + q' Y + V rho')/D: one triple per block of
+``block_maps``, read at its tail remainder.  The ``affine_fixed_point`` of
+their ``compose_chain`` is 2 q' F(t*), and the remainder walk must close.
 For an antiperiodic period the tail after the first half is 1 - t*, and
-F(1 - t) = F(t) + 1/2 - t makes the second half v -> v + q' - 2 rho.  The
-preperiod composite, read at rho, carries 2 q' F(t*) to 2 q' F(x), and the
-one reduction is the final Fraction.
+F(1 - t) = F(t) + 1/2 - t appends the leaf v -> v + q' - 2 rho for the
+second half.  The preperiod's chain, read at rho, carries 2 q' F(t*) to
+2 q' F(x), and the one reduction is the final Fraction.
 
 Breakpoint tables: over column k of the level-i grid the graph of f is the
 affine image y = y_k + (y_{k+1} - y_k) f(t) of the whole graph, and
@@ -41,12 +41,11 @@ from typing import Iterator
 from .errors import ConsistencyError, OrderError, ParameterError
 from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
 from .ternary import (
-    _block_leaves,
     affine_fixed_point,
+    block_maps,
     check_index,
     check_unit_interval,
     compose_chain,
-    compose_digits,
     compose_triples,
     digit_triples,
     half_period,
@@ -99,15 +98,13 @@ def _compose_blocks(outer, inner):
             p2 * n1 + n2, p1 * p2, k1 * k2)
 
 
-def _period_map(period: bytes, rho: int, q_free: int) -> tuple[int, int, int]:
-    """The period composite of v = 2 q' F(t) at the periodic tail rho/q', as an
-    integer triple: one leaf (S, q' Y + V rho', D) per six-digit block, read at
-    the remainder rho' where that block ends."""
-    blocks = _block_leaves(_compose_blocks, _DIGIT_MAPS)
+def _period_value(period: bytes, rho: int, q_free: int) -> tuple[int, int]:
+    """2 q' F(t*) at the periodic tail t* = rho/q', as an unreduced pair, closed
+    as in ``close_chain`` over one triple (S, q' Y + V rho', D) per block of
+    ``block_maps``, read at the remainder rho' where that block ends."""
     walk, halved = half_period(period)
     leaves, r = [], rho
-    for k in range(0, len(walk), 6):
-        s, y, v, d, n, p, _ = blocks[walk[k:k + 6]]
+    for s, y, v, d, n, p, _ in block_maps(walk, _compose_blocks, _DIGIT_MAPS):
         r = p * r - q_free * n
         leaves.append((s, q_free * y + v * r, d))
     if halved:
@@ -116,7 +113,7 @@ def _period_map(period: bytes, rho: int, q_free: int) -> tuple[int, int, int]:
         rho = q_free - rho
     if r != rho:
         raise ConsistencyError("the remainder walk does not close the period")
-    return compose_chain(leaves, compose_triples)
+    return affine_fixed_point(compose_chain(leaves, compose_triples))
 
 
 def eval_F_exact(x) -> Fraction:
@@ -125,9 +122,8 @@ def eval_F_exact(x) -> Fraction:
     With m preperiod digits read as the base-3 integer N, the periodic tail
     is t* = 3**m x - N = rho/q', q' the 3-free part of the denominator of x
     and rho its numerator mod q' (q' for x = 1), so the walk from x must
-    end at rho.  2 q' F(t*) is the ``affine_fixed_point`` of
-    ``_period_map``, and the preperiod composite, read at rho, carries it
-    to 2 q' F(x).
+    end at rho.  ``_period_value`` gives 2 q' F(t*), and the preperiod's
+    chain of ``block_maps``, read at rho, carries it to 2 q' F(x).
     """
     x = check_unit_interval(x)
     e = to_ternary(x)
@@ -135,9 +131,10 @@ def eval_F_exact(x) -> Fraction:
     rho, num, den = 0, 0, 1  # t* = rho/q' and 2 q' F(t*) = num/den
     if e.period:
         rho = x.numerator % q_free or q_free
-        num, den = affine_fixed_point(_period_map(e.period, rho, q_free))
+        num, den = _period_value(e.period, rho, q_free)
     if e.preperiod:
-        s, y, v, d, n, _, _ = compose_digits(e.preperiod, _compose_blocks, _DIGIT_MAPS)
+        pre = block_maps(e.preperiod, _compose_blocks, _DIGIT_MAPS)
+        s, y, v, d, n, _, _ = compose_chain(pre, _compose_blocks)
         if x.numerator - n * q_free != rho:
             raise ConsistencyError("the preperiod walk does not end at x")
         num, den = s * num + (q_free * y + v * rho) * den, d * den

@@ -92,7 +92,7 @@ def box_count(i: int) -> BoxCountReport:
         span = ynums[k + 1] - ynums[k]
         if span == 0:
             raise ConsistencyError("degenerate flat segment in classical table")
-        count += span if span > 0 else -span
+        count += abs(span)
     return BoxCountReport(i, Fraction(1, 3**i), count)
 
 

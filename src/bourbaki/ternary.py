@@ -1,7 +1,7 @@
-"""Exact rational arithmetic, canonical base-3 expansions, and affine maps.
+"""Canonical base-3 expansions and the integer closures that evaluate them.
 
-Everything downstream is built from the objects here, over the stdlib
-``fractions.Fraction``:
+Every closure composes unreduced integer triples (s, b, d), each the map
+v -> (s v + b)/d, and reduces once, in the ``Fraction`` it returns:
 
 * ``TernaryExpansion`` -- the eventually periodic base-3 expansion of a
   rational in [0, 1], held in a canonical form so each rational has exactly
@@ -10,8 +10,10 @@ Everything downstream is built from the objects here, over the stdlib
   closure; ``check_digits``, the one test of a digit, returns that form.
   ``to_ternary`` reads the period by long division by 3**6, six digits per
   step, and the preperiod by recursive halving.
-* ``compose_chain`` -- the one product tree that every chain of digit maps
-  is composed with, over unreduced integer tuples.
+* ``block_maps`` -- the one place a closure's digits are cut into six-digit
+  blocks: each block's cached composite, for any associative ``compose``.
+* ``compose_chain`` -- the one product tree that every chain of block maps
+  is composed with.
 * ``affine_fixed_point`` -- the one closing step: the fixed point of a
   contracting integer triple, which is the value of a periodic tail.
 * ``digit_triples`` -- the one statement of the digit maps of f_a, as
@@ -23,10 +25,10 @@ Everything downstream is built from the objects here, over the stdlib
   a = 1/3, whose limit function is the identity.
 * ``half_period`` -- the one test of the half-period route: when
   3**(L/2) = -1 mod q', the period's second half is the digit complement
-  (0 <-> 2) of the first.  A closure then composes only the first half,
-  over cached six-digit block leaves (``compose_digits``), followed by the
-  map that t -> 1 - t induces on its state: v -> 1 - v in ``close_chain``,
-  since f(1 - t) = 1 - f(t) for every f_a.
+  (0 <-> 2) of the first.  A closure then reads only the first half's
+  ``block_maps`` and appends the leaf that t -> 1 - t induces on its
+  state: v -> 1 - v in ``close_chain``, since f(1 - t) = 1 - f(t) for
+  every f_a.
 
 No floating point is used anywhere in this module.
 """
@@ -331,12 +333,12 @@ class _BlockLeaves(dict):
 _block_leaves = lru_cache(maxsize=4)(_BlockLeaves)
 
 
-def compose_digits(digits: bytes, compose: Callable, leaves: tuple):
-    """leaves[digits[0]] o ... o leaves[digits[-1]] for nonempty ``digits``:
-    the ``compose_chain`` of one precomposed leaf per six-digit block, the
-    last block holding what is left."""
+def block_maps(digits: bytes, compose: Callable, leaves: tuple) -> list:
+    """The cached composite leaves[w[0]] o ... o leaves[w[-1]] of each six-digit
+    block w of ``digits`` in order, the last block holding what is left: their
+    ``compose_chain`` is the composite of all of ``digits``."""
     blocks = _block_leaves(compose, leaves)
-    return compose_chain([blocks[digits[k:k + 6]] for k in range(0, len(digits), 6)], compose)
+    return [blocks[digits[k:k + 6]] for k in range(0, len(digits), 6)]
 
 
 def half_period(period: bytes) -> tuple[bytes, bool]:
@@ -354,22 +356,22 @@ def close_chain(e: TernaryExpansion, a: Fraction) -> Fraction:
     """Value of f_a at the point with expansion e, under the maps ``digit_triples(a)``.
 
     The periodic tail value (0 for a terminating expansion) is the
-    ``affine_fixed_point`` of the period composite (of its ``half_period``,
-    then v -> 1 - v if that is the first half), which the preperiod
-    composite carries to the point.  Both are unreduced triples from
-    six-digit block leaves, so the one gcd is in the final Fraction, which
-    matters for long periods.
+    ``affine_fixed_point`` of the ``compose_chain`` of the ``block_maps`` of
+    its ``half_period``, with the leaf v -> 1 - v appended if that is the
+    first half.  The preperiod's chain carries it to the point.  Both are
+    unreduced integer triples, so the one gcd is in the final Fraction,
+    which matters for long periods.
     """
-    leaves = digit_triples(a)
+    maps = digit_triples(a)
     num, den = 0, 1  # the tail value num/den
     if e.period:
         digits, halved = half_period(e.period)
-        composite = compose_digits(digits, compose_triples, leaves)
+        leaves = block_maps(digits, compose_triples, maps)
         if halved:
-            composite = compose_triples(composite, _COMPLEMENT_MAP)
-        num, den = affine_fixed_point(composite)
+            leaves.append(_COMPLEMENT_MAP)
+        num, den = affine_fixed_point(compose_chain(leaves, compose_triples))
     if e.preperiod:
-        s, b, d = compose_digits(e.preperiod, compose_triples, leaves)
+        s, b, d = compose_chain(block_maps(e.preperiod, compose_triples, maps), compose_triples)
         num, den = s * num + b * den, d * den
     return Fraction(num, den)
 

@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from bourbaki import geometry
+from bourbaki import geometry, verify
 from bourbaki.cli import run
 from bourbaki.errors import ParameterError
+from bourbaki.function import CLASSICAL
 from bourbaki.render import csv_table, decimal_12, format_rational, format_value
 from bourbaki.verify import run_verification
 
@@ -311,6 +312,17 @@ class TestVerifyCommand:
         with decimal.localcontext() as ctx:
             setattr(ctx, *setting)
             assert run_verification("geometry", 42, 5).failures == []
+
+    def test_family_suite_sees_a_wrong_classical_member(self, monkeypatch):
+        # shift only the a = 2/3 member by 1/2, which no level-8 column spans
+        exact = verify.eval_exact
+
+        def shifted(x, param=CLASSICAL):
+            return exact(x, param) + (F(1, 2) if param.is_classical else 0)
+
+        monkeypatch.setattr(verify, "eval_exact", shifted)
+        failures = run_verification("family", 42, 5).failures
+        assert sum(f["input"].startswith("classical member") for f in failures) == 5
 
     def test_seed_range(self, capsys):
         assert run(["verify", "--suite", "geometry", "--seed", str(2**64)]) == 1

@@ -20,6 +20,7 @@ from bourbaki.geometry import (
     mass_measure,
 )
 from bourbaki.prng import SplitMix64
+from bourbaki.ternary import check_index
 from bourbaki.verify import run_verification
 
 INDEXED = {
@@ -72,6 +73,11 @@ def test_index_over_cap(name):
     fn, over = CAPPED[name]
     with pytest.raises(ResourceLimitError):
         fn(over)
+
+
+def test_index_at_its_bounds_accepted():
+    assert check_index(4, low=4, cap=4) == 4
+    assert closed_form_value("i", 1000)[0] == Fraction(1, 3**1000 + 1)
 
 
 @pytest.mark.parametrize("seed", [True, False, 1.0])

@@ -4,6 +4,8 @@
   dependencies, so each module's syntax tree is walked with ``ast``.
   ``__init__.py`` imports names only to re-export them and is left out;
   ``from __future__`` imports are exempt.
+* Module boundaries: no module imports an underscore name from another
+  package module, so each private name is read only where it is defined.
 * The benchmark harness traces the functions that ``perfbench/spans.py``
   names in ``TRACED``, by layer: each must stay a callable of its module.
   ``TRACED`` is read from that file with ``ast``, without importing it.
@@ -45,6 +47,20 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = sorted(_imported(tree) - _read(tree))
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = sorted(
+        f"{'.' * node.level}{node.module or ''}.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "bourbaki")
+        for a in node.names
+        if a.name.startswith("_")
+    )
+    assert not private, f"{path.name} imports private names: {private}"
 
 
 def _traced() -> dict[str, tuple[str, ...]]:

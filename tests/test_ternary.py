@@ -6,23 +6,26 @@ computed with exact rationals and no long division.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import floor
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from bourbaki import ternary
+from bourbaki import antiderivative, ternary
 from bourbaki.errors import ConsistencyError, DigitError, DomainError, ResourceLimitError
 from bourbaki.ternary import (
     TernaryExpansion,
     affine_fixed_point,
+    block_maps,
     check_digits,
     check_unit_interval,
     compose_chain,
     compose_triples,
     digit_stream,
+    digit_triples,
     from_ternary,
     to_ternary,
 )
@@ -149,6 +152,20 @@ class TestToTernary:
             to_ternary(Fraction(-1, 4))
         with pytest.raises(DomainError):
             to_ternary(0.5)
+
+    def test_antiperiodic_period_is_read_by_half(self, monkeypatch):
+        # 7/49999 has a period of 49,998 digits, its first half then that
+        # half's complement: the long division stops after the first half
+        calls = []
+
+        def counting_divmod(a, b):
+            calls.append(b)
+            return divmod(a, b)
+
+        monkeypatch.setattr(ternary, "divmod", counting_divmod, raising=False)
+        assert len(to_ternary(Fraction(7, 49999)).period) == 49998
+        # one split of 7/49999 into whole and remainder, then one per six digits
+        assert calls.count(49999) == 1 + -(-24999 // 6)
 
     def test_period_budget(self, monkeypatch):
         monkeypatch.setattr(ternary, "MAX_PERIOD_DIGITS", 6)
@@ -315,6 +332,8 @@ class TestAffine:
         assert Fraction(num, den) == fp
 
     @given(triples)
+    @example((-3, 1, 3))  # v -> 1/3 - v has a fixed point but is no contraction
+    @example((3, 1, 3))
     def test_fixed_point_is_fixed(self, m):
         s, _, d = m
         if not -d < s < d:
@@ -330,3 +349,22 @@ class TestAffine:
         for m in maps[1:]:
             seq = compose_triples(seq, m)
         assert compose_chain(maps, compose_triples) == seq
+
+
+class TestBlockMaps:
+    @given(
+        st.binary(max_size=40).map(lambda b: bytes(c % 3 for c in b)),
+        st.fractions(min_value=0, max_value=1, max_denominator=100),
+    )
+    def test_blocks_compose_to_the_digit_fold(self, digits, a):
+        # f_a's integer triples and F's block constants, each against its own
+        # digit-by-digit fold: composition is exactly associative
+        for compose, leaves in (
+            (compose_triples, digit_triples(a)),
+            (antiderivative._compose_blocks, antiderivative._DIGIT_MAPS),
+        ):
+            blocks = block_maps(digits, compose, leaves)
+            assert len(blocks) == -(-len(digits) // 6)
+            if digits:
+                fold = reduce(compose, [leaves[d] for d in digits])
+                assert compose_chain(blocks, compose) == fold

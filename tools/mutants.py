@@ -14,12 +14,13 @@ Each mutant changes one spot of the module's syntax tree:
 The package tree is copied once into a temporary directory; each mutant is
 written there (``ast.unparse`` of the mutated tree) and the named test files
 run against it with pytest, stopping at the first failure.  A mutant whose
-tests all pass within ten minutes survives.  The survivors go to the ``--out``
-JSON file, each with its id: the enclosing function, the original expression
-and the mutated one.  The exit status is 1 when a survivor is not in
-``tools/equivalent_mutants.json``, a JSON list of ``{"id": ..., "reason": ...}``
-naming the mutants known to behave like the original, and 2 when the
-unmutated tests fail.  The module must lie inside the repository; only the
+tests all pass survives.  A run that takes longer than five times the
+unmutated run, or than a minute if that is longer, is stopped, and its mutant
+counts as killed.  The survivors go to the ``--out`` JSON file, each with its
+id: the enclosing function, the original expression and the mutated one.  The
+exit status is 1 when a survivor is not in ``tools/equivalent_mutants.json``,
+a JSON list of ``{"id": ..., "reason": ...}`` naming the mutants known to
+behave like the original, and 2 when the unmutated tests fail.  The module must lie inside the repository; only the
 temporary copy is ever written.
 """
 
@@ -34,6 +35,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,7 +46,8 @@ SWAPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
 }
 STEPS = {"next_minus", "next_plus"}
-TIMEOUT_S = 600
+# a mutant's run may take this multiple of the unmutated run, and at least the floor
+TIMEOUT_FACTOR, TIMEOUT_FLOOR_S = 5, 60
 
 
 def _sites(tree: ast.Module) -> list[tuple[str, ast.AST, object]]:
@@ -108,11 +111,11 @@ def _replace(parent: ast.AST, old: ast.AST, new: ast.AST) -> None:
                     parent_list[j] = new
 
 
-def _passes(tree: Path, tests: list[str]) -> bool:
+def _passes(tree: Path, tests: list[str], timeout: float | None = None) -> bool:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
@@ -134,12 +137,14 @@ def main(argv: list[str] | None = None) -> int:
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
         shutil.copytree(ROOT, tree, ignore=ignore)
         target = tree / module
+        start = time.monotonic()
         if not _passes(tree, args.tests):
             print("error: the tests fail on the unmutated module", file=sys.stderr)
             return 2
+        timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * (time.monotonic() - start))
         for n, mutant in enumerate(found, 1):
             target.write_text(mutant["source"], encoding="utf-8")
-            survived = _passes(tree, args.tests)
+            survived = _passes(tree, args.tests, timeout)
             print(f"[{n}/{len(found)}] {'SURVIVED' if survived else 'killed  '} "
                   f"line {mutant['line']}: {mutant['id']}", file=sys.stderr)
             if survived:
