@@ -15,13 +15,15 @@ one digit being (s_d, c_d, 2 b_d, 3q, d, 3, q) (``_compose_blocks``):
 
 Over a period every tail is rho/q', rho the long-division remainder, and
 a block read from rho leaves rho' = P rho - q' N, so on v = q' G it is the
-integer triple v -> (S v + q' Y + V rho')/D: one triple per block of
-``block_maps``, read at its tail remainder.  The ``affine_fixed_point`` of
-their ``compose_chain`` is 2 q' F(t*), and the remainder walk must close.
-For an antiperiodic period the tail after the first half is 1 - t*, and
-F(1 - t) = F(t) + 1/2 - t appends the leaf v -> v + q' - 2 rho for the
-second half.  The preperiod's chain, read at rho, carries 2 q' F(t*) to
-2 q' F(x), and the one reduction is the final Fraction.
+integer triple v -> (S v + q' Y + V rho')/D.  ``read_point`` gives each
+block's value and the remainder where it ends, so each block is one
+``period_maps`` constant read at its division remainder; only the last
+block's N is walked, from the remainder before it, and must land on rho
+(or q' - rho after a half period).  For an antiperiodic period the tail
+after the first half is 1 - t*, and F(1 - t) = F(t) + 1/2 - t appends the
+leaf v -> v + q' - 2 rho for the second half.  ``close_triples`` gives
+2 q' F(t*), carried to 2 q' F(x) by the preperiod's chain read at rho, in
+one reduction, the final Fraction.
 
 Breakpoint tables: over column k of the level-i grid the graph of f is the
 affine image y = y_k + (y_{k+1} - y_k) f(t) of the whole graph, and
@@ -41,15 +43,15 @@ from typing import Iterator
 from .errors import ConsistencyError, OrderError, ParameterError
 from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
 from .ternary import (
-    affine_fixed_point,
+    PeriodReading,
     block_maps,
     check_index,
     check_unit_interval,
+    close_triples,
     compose_chain,
-    compose_triples,
     digit_triples,
-    half_period,
-    to_ternary,
+    period_maps,
+    read_point,
 )
 
 F_HALF = Fraction(1, 2)
@@ -98,47 +100,45 @@ def _compose_blocks(outer, inner):
             p2 * n1 + n2, p1 * p2, k1 * k2)
 
 
-def _period_value(period: bytes, rho: int, q_free: int) -> tuple[int, int]:
-    """2 q' F(t*) at the periodic tail t* = rho/q', as an unreduced pair, closed
-    as in ``close_chain`` over one triple (S, q' Y + V rho', D) per block of
-    ``block_maps``, read at the remainder rho' where that block ends."""
-    walk, halved = half_period(period)
-    leaves, r = [], rho
-    for s, y, v, d, n, p, _ in block_maps(walk, _compose_blocks, _DIGIT_MAPS):
-        r = p * r - q_free * n
-        leaves.append((s, q_free * y + v * r, d))
-    if halved:
-        # the tail after walk is 1 - t*, and 2 F(1 - t) = 2 F(t) + 1 - 2 t
-        leaves.append((1, q_free - 2 * rho, 1))
-        rho = q_free - rho
-    if r != rho:
+def _period_leaves(period: PeriodReading, rho: int, q_free: int) -> list:
+    """The period's leaves for ``close_triples`` at the tail t* = rho/q', from
+    its ``PeriodReading``: one triple (S, q' Y + V rho', D) per block, read
+    at the division's remainder rho' where that block ends, then the
+    translation leaf of an antiperiodic period's second half."""
+    rems, halved = period.rems, period.halved
+    consts = period_maps(period, _compose_blocks, _DIGIT_MAPS)
+    end = q_free - rho if halved else rho
+    _, _, _, _, n, p, _ = consts[-1]
+    if (rems[-1] if rems else rho) * p - q_free * n != end:
         raise ConsistencyError("the remainder walk does not close the period")
-    return affine_fixed_point(compose_chain(leaves, compose_triples))
+    tails = [*rems, end]
+    leaves = [(s, q_free * y + v * r, d) for (s, y, v, d, _, _, _), r in zip(consts, tails)]
+    if halved:
+        # the tail after the first half is 1 - t*, and 2 F(1 - t) = 2 F(t) + 1 - 2 t
+        leaves.append((1, q_free - 2 * rho, 1))
+    return leaves
 
 
 def eval_F_exact(x) -> Fraction:
     """Exact value of the antiderivative at a rational point in [0, 1].
 
-    With m preperiod digits read as the base-3 integer N, the periodic tail
-    is t* = 3**m x - N = rho/q', q' the 3-free part of the denominator of x
-    and rho its numerator mod q' (q' for x = 1), so the walk from x must
-    end at rho.  ``_period_value`` gives 2 q' F(t*), and the preperiod's
-    chain of ``block_maps``, read at rho, carries it to 2 q' F(x).
+    ``read_point`` writes x = (N + t*)/3**m, N the m preperiod digits and
+    t* = rho/q' the periodic tail, q' the 3-free part of the denominator of
+    x (rho = q' = 1 for x = 1).  ``_period_leaves`` close to 2 q' F(t*), and
+    the preperiod's chain of ``block_maps``, read at rho, carries it to
+    2 q' F(x); that walk from x must end at rho.
     """
     x = check_unit_interval(x)
-    e = to_ternary(x)
-    q_free = x.denominator // 3 ** len(e.preperiod)
-    rho, num, den = 0, 0, 1  # t* = rho/q' and 2 q' F(t*) = num/den
-    if e.period:
-        rho = x.numerator % q_free or q_free
-        num, den = _period_value(e.period, rho, q_free)
-    if e.preperiod:
-        pre = block_maps(e.preperiod, _compose_blocks, _DIGIT_MAPS)
-        s, y, v, d, n, _, _ = compose_chain(pre, _compose_blocks)
+    pre, rho, q_free, period = read_point(x)
+    leaves = _period_leaves(period, rho, q_free) if period else []
+    pre_maps = []
+    if pre:
+        chain = block_maps(pre, _compose_blocks, _DIGIT_MAPS)
+        s, y, v, d, n, _, _ = compose_chain(chain, _compose_blocks)
         if x.numerator - n * q_free != rho:
             raise ConsistencyError("the preperiod walk does not end at x")
-        num, den = s * num + (q_free * y + v * rho) * den, d * den
-    return Fraction(num, 2 * q_free * den)
+        pre_maps = [(s, q_free * y + v * rho, d)]
+    return close_triples(leaves, pre_maps, 2 * q_free)
 
 
 def integral_symmetric(x) -> Fraction:

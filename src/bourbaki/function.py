@@ -35,11 +35,10 @@ from .errors import (
 from .ternary import (
     check_index,
     check_unit_interval,
-    close_chain,
+    close_point,
     compose_triples,
     digit_stream,
     digit_triples,
-    to_ternary,
 )
 
 MAX_TABLE_LEVEL = 13
@@ -173,11 +172,11 @@ def ifs_refine(t: BreakpointTable) -> BreakpointTable:
 def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
     """Exact value of the limit function at a rational point.
 
-    ``close_chain`` of the expansion of x under the digit maps of ``param``
-    (``digit_triples``); the period composite contracts, since its |slope| <=
-    max(a, 1-a, |2a-1|) ** period_length < 1.
+    ``close_point``: the blocks of x's long division, closed under the
+    digit maps of ``param`` (``digit_triples``); the period composite
+    contracts, since its |slope| <= max(a, 1-a, |2a-1|) ** period_length < 1.
     """
-    return close_chain(to_ternary(x), param.a)
+    return close_point(x, param.a)
 
 
 def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:

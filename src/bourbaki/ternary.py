@@ -3,32 +3,32 @@
 Every closure composes unreduced integer triples (s, b, d), each the map
 v -> (s v + b)/d, and reduces once, in the ``Fraction`` it returns:
 
-* ``TernaryExpansion`` -- the eventually periodic base-3 expansion of a
-  rational in [0, 1], held in a canonical form so each rational has exactly
-  one representation.  Preperiod and period are ``bytes`` of the digit
-  values 0, 1 and 2, the one digit format from ``to_ternary`` to every
-  closure; ``check_digits``, the one test of a digit, returns that form.
-  ``to_ternary`` reads the period by long division by 3**6, six digits per
-  step, and the preperiod by recursive halving.
-* ``block_maps`` -- the one place a closure's digits are cut into six-digit
-  blocks: each block's cached composite, for any associative ``compose``.
-* ``compose_chain`` -- the one product tree that every chain of block maps
-  is composed with.
-* ``affine_fixed_point`` -- the one closing step: the fixed point of a
-  contracting integer triple, which is the value of a periodic tail.
+* ``read_point`` and ``read_period`` -- the one reader of a rational's
+  base-3 digits: the preperiod by recursive halving, as ``bytes`` of the
+  digit values 0, 1 and 2, and the period by long division by 3**6, as
+  the six-digit block values of a ``PeriodReading``.  When 3**(L/2) = -1 mod q', the period's second
+  half is the digit complement (0 <-> 2) of the first, and the division
+  stops at the half.
+* ``TernaryExpansion`` -- the canonical expansion, one per rational, with
+  ``bytes`` digits (``check_digits`` is the one test of a digit);
+  ``to_ternary`` joins it from ``read_point``, and no closure of a point
+  builds one.
+* ``period_maps`` and ``block_maps`` -- each block's composite of digit
+  maps, for any associative ``compose``, from one table per digit algebra
+  indexed by block value: for the division's blocks, and for ``bytes``
+  digits cut into six-digit blocks.
+* ``compose_chain`` -- the one product tree for every chain of block maps.
+* ``close_triples`` -- the one closing step: the ``affine_fixed_point`` of
+  the period's composite, carried by the preperiod's into one ``Fraction``.
 * ``digit_triples`` -- the one statement of the digit maps of f_a, as
   integer triples (s_d, b_d, q) with f((d + t)/3) = (s_d f(t) + b_d)/q for
   a = p/q; the antiderivative's digit maps are derived from them.
-* ``close_chain`` -- the one closure that turns an expansion into a value
-  under the digit maps of a family member: f and f_a through theirs, and
-  the expansion's own value through v -> (v + d)/3, the maps of the member
-  a = 1/3, whose limit function is the identity.
-* ``half_period`` -- the one test of the half-period route: when
-  3**(L/2) = -1 mod q', the period's second half is the digit complement
-  (0 <-> 2) of the first.  A closure then reads only the first half's
-  ``block_maps`` and appends the leaf that t -> 1 - t induces on its
-  state: v -> 1 - v in ``close_chain``, since f(1 - t) = 1 - f(t) for
-  every f_a.
+* ``close_point`` -- f_a at a rational point, from the division's blocks;
+  ``from_ternary`` closes an expansion under v -> (v + d)/3, the maps of
+  the member a = 1/3, whose limit function is the identity.  Both close
+  through ``_close_member``, where the second half of an antiperiodic
+  period is the leaf v -> 1 - v, since f(1 - t) = 1 - f(t) for every f_a
+  (``half_period`` finds that half in an expansion).
 
 No floating point is used anywhere in this module.
 """
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -123,8 +123,6 @@ class TernaryExpansion:
         if per:
             if not any(per):
                 raise DigitError("a periodic tail of zeros must be the empty period")
-            # w is a power of a shorter block iff w occurs in ww at 0 < k < |w|
-            # (Lyndon-Schuetzenberger); bytes.find makes that a linear scan.
             if (per + per).find(per, 1) != len(per):
                 raise DigitError("period is not minimal")
             if pre and pre[-1] == per[-1]:
@@ -184,58 +182,92 @@ def _base3_digits(n: int, width: int) -> bytes:
     return _base3_digits(hi, width - h) + _base3_digits(lo, h)
 
 
-def to_ternary(x) -> TernaryExpansion:
-    """Canonical base-3 expansion of a rational in [0, 1].
+class PeriodReading(NamedTuple):
+    """A period as the long division by 3**6 reads it: ``blocks`` holds the
+    six-digit block values (< 3**6), ``rems`` the remainder after each block
+    but the last, ``last`` the number of the last block's leading digits
+    (1 to 6) that end the period, and ``halved`` whether the division
+    stopped at the half period."""
+
+    blocks: Sequence[int]
+    rems: Sequence[int]
+    last: int
+    halved: bool
+
+
+def read_period(start: int, q_free: int) -> PeriodReading:
+    """The ``PeriodReading`` of the periodic tail start/q', 0 < start < q'.
+
+    The remainder after k digits is
+    start * 3**k mod q', so one dict lookup per block, keyed by
+    start * 3**e for e = 0 .. 5, finds where the minimal period ends.  The
+    dict also holds q' - start: reaching it after h digits leaves the tail
+    1 - start/q', so the period is antiperiodic, of 2h digits, its second
+    half the digit complement (0 <-> 2) of the first.  A period over
+    MAX_PERIOD_DIGITS digits (the full period, not its half) raises
+    ``ResourceLimitError`` during the division.
+    """
+    # remainder -> (digits past the event, whether the event is the half period);
+    # the largest e is the earliest event in a block, and a full-period event
+    # wins a tie (only q' = 2, where start = q' - start)
+    ends = {}
+    full, half = start, q_free - start
+    for e in range(6):
+        ends[half] = (e, True)
+        ends[full] = (e, False)
+        full, half = full * 3 % q_free, half * 3 % q_free
+    cap = MAX_PERIOD_DIGITS
+    blocks, rems = [], []
+    num = start
+    for _ in range(cap // 6 + 1):
+        blk, num = divmod(num * 729, q_free)
+        blocks.append(blk)
+        if num in ends:
+            break
+        rems.append(num)
+    else:
+        raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
+    past, halved = ends[num]
+    if (6 * len(blocks) - past) << halved > cap:
+        raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
+    return PeriodReading(blocks, rems, 6 - past, halved)
+
+
+# the tail 1 = 0.222...: the one-digit period 2, which long division never gives
+_ALL_TWOS = PeriodReading((728,), (), 1, False)
+
+
+def read_point(x) -> tuple[bytes, int, int, PeriodReading | None]:
+    """The base-3 digits of a rational x in [0, 1] as (pre, rho, q', period).
 
     Write the reduced x = p/q with q = 3**v * q' and q' coprime to 3
     (``_split_threes``).  One ``divmod`` splits 3**v * x = p/q' into
-    whole + start/q': the preperiod is the v base-3 digits of whole
-    (< 3**v, ``_base3_digits``), and start/q' is the purely periodic tail.
-    A preperiod over MAX_PREPERIOD_DIGITS digits raises ``ResourceLimitError``
-    before any digit is read.  The period is read off by long division by
-    3**6, six digits per ``divmod``, until the remainder returns to start --
-    at most q' digits, and the block found is automatically minimal.  The
-    remainder after k digits is start * 3**k mod q', so one dict lookup per
-    block, keyed by start * 3**e for e = 0 .. 5, finds where in the block the
-    period ended.  The same dict holds q' - start: if the remainder reaches it
-    after h digits, the tail there is 1 - start/q', so the period is
-    antiperiodic, of 2h digits, and its second half is the digit complement
-    (0 <-> 2) of the first.  A period over MAX_PERIOD_DIGITS digits (the full
-    period, not its half) raises ``ResourceLimitError`` during that division.
+    whole + rho/q': pre is the v base-3 digits of whole (< 3**v,
+    ``_base3_digits``), rho/q' is the purely periodic tail, and period is
+    its ``read_period`` (None when rho = 0).  x = 1 reads as rho = q' = 1
+    with the period 2.  A preperiod over MAX_PREPERIOD_DIGITS digits raises
+    ``ResourceLimitError`` before any digit is read.
     """
     r = check_unit_interval(x)
     if r == 1:
-        return TernaryExpansion(b"", b"\x02")
+        return b"", 1, 1, _ALL_TWOS
     v, q_free = _split_threes(r.denominator)
-    whole, start = divmod(r.numerator, q_free)
-    pre = _base3_digits(whole, v)
+    whole, rho = divmod(r.numerator, q_free)
+    return _base3_digits(whole, v), rho, q_free, read_period(rho, q_free) if rho else None
+
+
+def to_ternary(x) -> TernaryExpansion:
+    """Canonical base-3 expansion of a rational in [0, 1], joined from
+    ``read_point``: the period is the division's blocks cut to its length,
+    followed by their digit complement when the division stopped at the
+    half period."""
+    pre, _, _, period = read_point(x)
     per = b""
-    if start:
-        # remainder -> (digits past the event, whether the event is the half period);
-        # the largest e is the earliest event in a block, and a full-period event
-        # wins a tie (only q' = 2, where start = q' - start)
-        ends = {}
-        full, half = start, q_free - start
-        for e in range(6):
-            ends[half] = (e, True)
-            ends[full] = (e, False)
-            full, half = full * 3 % q_free, half * 3 % q_free
-        cap = MAX_PERIOD_DIGITS
-        blocks = []
-        num = start
-        for _ in range(cap // 6 + 1):
-            blk, num = divmod(num * 729, q_free)
-            blocks.append(blk)
-            if num in ends:
-                break
-        else:
-            raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
-        past, antiperiodic = ends[num]
-        per = b"".join(map(_SIX_DIGIT_BLOCKS.__getitem__, blocks))[: 6 * len(blocks) - past]
-        if antiperiodic:
+    if period:
+        blocks = period.blocks
+        per = b"".join(map(_SIX_DIGIT_BLOCKS.__getitem__, blocks))[: 6 * len(blocks) - 6 + period.last]
+        if period.halved:
             per += per.translate(_COMPLEMENT)
-        if len(per) > cap:
-            raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
     return TernaryExpansion(pre, per)
 
 
@@ -312,39 +344,65 @@ def compose_triples(outer, inner):
     return (so * si, so * bi + bo * di, do * di)
 
 
-class _BlockLeaves(dict):
-    """Composites of digit maps, keyed by their digits as bytes and built on
-    first use: w maps to leaves[w[0]] o ... o leaves[w[-1]], with
-    ``leaves[d]`` the map of digit d and ``compose(outer, inner)`` composing
-    two maps.  A block is composed from its two memoized halves, so one of
-    six digits costs one ``compose`` once its halves are known."""
+class _Row(dict):
+    """The composites of the n-digit blocks of one digit algebra, keyed by the
+    block's base-3 value and built on first use: a block is ``compose`` of
+    its high and low parts, looked up in the rows of their lengths."""
 
-    def __init__(self, compose: Callable, leaves: tuple) -> None:
-        self.compose, self.leaves = compose, leaves
+    def __init__(self, compose: Callable, high, low, split: int) -> None:
+        self.compose, self.high, self.low, self.split = compose, high, low, split
 
-    def __missing__(self, w: bytes):
-        h = len(w) // 2
-        m = self[w] = self.compose(self[w[:h]], self[w[h:]]) if h else self.leaves[w[0]]
+    def __missing__(self, value: int):
+        hi, lo = divmod(value, self.split)
+        m = self[value] = self.compose(self.high[hi], self.low[lo])
         return m
 
 
-# tables of the last few (compose, leaves) pairs: they do not pile up over family
-# parameters, and each holds at most the 1,092 blocks of one to six digits
-_block_leaves = lru_cache(maxsize=4)(_BlockLeaves)
+@lru_cache(maxsize=4)
+def _block_table(compose: Callable, leaves: tuple) -> tuple:
+    """rows[n][v], n = 1 .. 6: the composite leaves[w[0]] o ... o leaves[w[-1]]
+    of the n-digit block w of base-3 value v.  Row 1 is ``leaves``; the
+    six-digit row joins three-digit halves, and the shorter rows serve the
+    last block of a period and preperiods.  The cache keeps the tables of
+    the last few algebras, each of at most 3 + 9 + ... + 729 = 1,092 entries."""
+    rows = [None, leaves]
+    for n in range(2, 7):
+        h = n // 2
+        rows.append(_Row(compose, rows[h], rows[n - h], 3 ** (n - h)))
+    return tuple(rows)
+
+
+# base-3 digit values -> the ASCII digits that int(..., 3) reads
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01\x02", b"012")
 
 
 def block_maps(digits: bytes, compose: Callable, leaves: tuple) -> list:
-    """The cached composite leaves[w[0]] o ... o leaves[w[-1]] of each six-digit
-    block w of ``digits`` in order, the last block holding what is left: their
-    ``compose_chain`` is the composite of all of ``digits``."""
-    blocks = _block_leaves(compose, leaves)
-    return [blocks[digits[k:k + 6]] for k in range(0, len(digits), 6)]
+    """The composite leaves[w[0]] o ... o leaves[w[-1]] of each six-digit block w
+    of ``digits`` in order, the last block holding what is left, from the
+    table of (compose, leaves): their ``compose_chain`` is the composite of
+    all of ``digits``."""
+    rows = _block_table(compose, leaves)
+    blocks = (digits[k:k + 6] for k in range(0, len(digits), 6))
+    return [rows[len(w)][int(w.translate(_DIGIT_CHARS), 3)] for w in blocks]
+
+
+def period_maps(period: PeriodReading, compose: Callable, leaves: tuple) -> list:
+    """The composite of each block of a ``PeriodReading``, from the table
+    of (compose, leaves): six digits per block, and the last block's
+    ``last`` leading digits."""
+    rows = _block_table(compose, leaves)
+    blocks, last = period.blocks, period.last
+    maps = list(map(rows[6].__getitem__, blocks[:-1]))
+    maps.append(rows[last][blocks[-1] // 3 ** (6 - last)])
+    return maps
 
 
 def half_period(period: bytes) -> tuple[bytes, bool]:
     """The digits a closure composes for a nonempty period, and whether they are
     its first half w: (w, True) when the period is w then its digit complement
-    (0 <-> 2), since the periodic tail t is then 1 - t after w; else (period, False)."""
+    (0 <-> 2), since the periodic tail t is then 1 - t after w; else (period, False).
+    The division finds this half as it reads; an expansion's ``bytes`` carry no
+    division, so ``from_ternary`` finds it here."""
     h, odd = divmod(len(period), 2)
     w = period[:h]
     if odd or period[h:] != w.translate(_COMPLEMENT):
@@ -352,35 +410,50 @@ def half_period(period: bytes) -> tuple[bytes, bool]:
     return w, True
 
 
-def close_chain(e: TernaryExpansion, a: Fraction) -> Fraction:
-    """Value of f_a at the point with expansion e, under the maps ``digit_triples(a)``.
-
-    The periodic tail value (0 for a terminating expansion) is the
-    ``affine_fixed_point`` of the ``compose_chain`` of the ``block_maps`` of
-    its ``half_period``, with the leaf v -> 1 - v appended if that is the
-    first half.  The preperiod's chain carries it to the point.  Both are
-    unreduced integer triples, so the one gcd is in the final Fraction,
-    which matters for long periods.
-    """
-    maps = digit_triples(a)
-    num, den = 0, 1  # the tail value num/den
-    if e.period:
-        digits, halved = half_period(e.period)
-        leaves = block_maps(digits, compose_triples, maps)
-        if halved:
-            leaves.append(_COMPLEMENT_MAP)
-        num, den = affine_fixed_point(compose_chain(leaves, compose_triples))
-    if e.preperiod:
-        s, b, d = compose_chain(block_maps(e.preperiod, compose_triples, maps), compose_triples)
+def close_triples(period: list, pre: list, scale: int = 1) -> Fraction:
+    """The one closing step of every closure, over integer triples: the
+    ``affine_fixed_point`` of the ``compose_chain`` of ``period`` (0 for an
+    empty period) is the tail's value, the composite of ``pre`` (none for an
+    empty list) carries it to the point, and the value over ``scale`` is
+    reduced once, in the ``Fraction`` returned, which matters for long
+    periods."""
+    num, den = 0, 1
+    if period:
+        num, den = affine_fixed_point(compose_chain(period, compose_triples))
+    if pre:
+        s, b, d = compose_chain(pre, compose_triples)
         num, den = s * num + b * den, d * den
-    return Fraction(num, den)
+    return Fraction(num, scale * den)
 
 
-_BASE3_MEMBER = Fraction(1, 3)
+def _close_member(leaves: list, halved: bool, pre: bytes, maps: tuple) -> Fraction:
+    """``close_triples`` under the digit triples ``maps`` of one f_a: the
+    period's ``leaves``, with the leaf v -> 1 - v appended when they cover
+    the first half of an antiperiodic period, and the ``block_maps`` of the
+    preperiod digits ``pre``."""
+    if halved:
+        leaves.append(_COMPLEMENT_MAP)
+    return close_triples(leaves, block_maps(pre, compose_triples, maps))
+
+
+def close_point(x, a: Fraction) -> Fraction:
+    """f_a at a rational x in [0, 1], under the maps ``digit_triples(a)``: the
+    ``period_maps`` of ``read_point``'s division, closed by ``_close_member``."""
+    pre, _, _, period = read_point(x)
+    maps = digit_triples(a)
+    if period is None:
+        return _close_member([], False, pre, maps)
+    return _close_member(period_maps(period, compose_triples, maps), period.halved, pre, maps)
+
+
+_BASE3_MEMBER = digit_triples(Fraction(1, 3))
 
 
 def from_ternary(e: TernaryExpansion) -> Fraction:
-    """Exact value of a canonical expansion: the ``close_chain`` of the family
-    member a = 1/3, whose digit maps are v -> (v + d)/3 and whose limit
-    function is the identity."""
-    return close_chain(e, _BASE3_MEMBER)
+    """Exact value of a canonical expansion: ``_close_member`` of the
+    ``block_maps`` of its digits under the maps v -> (v + d)/3 of the member
+    a = 1/3, whose limit function is the identity, over the ``half_period``
+    of its period."""
+    digits, halved = half_period(e.period) if e.period else (b"", False)
+    leaves = block_maps(digits, compose_triples, _BASE3_MEMBER)
+    return _close_member(leaves, halved, e.preperiod, _BASE3_MEMBER)

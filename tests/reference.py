@@ -11,10 +11,13 @@ no other code with the package's closures, and none with
   ``affine_fixed_point`` = intercept / (1 - slope);
 * ``digit_step_map`` -- the affine action of one base-3 digit on f_a,
   as an ``AffineMap``;
+* ``reference_expansion`` -- the preperiod and period of a rational by
+  long division one digit at a time, their lengths read off the
+  denominator;
 * ``reference_close`` -- the value at an expansion under one map per digit,
   with ``affine_fixed_point`` for the periodic tail;
 * ``reference_F`` -- F by a digit-at-a-time walk of the (t, F) maps read
-  off the scaling identities of F;
+  off the scaling identities of F, over ``reference_expansion``;
 * ``reference_bracket`` -- the f_a refinement followed down the one segment
   that holds x;
 * ``reference_root_sums`` -- the arc-length root sums of an F table, one
@@ -30,7 +33,6 @@ from math import isqrt
 
 from bourbaki import ternary
 from bourbaki.geometry import CoverRectangle
-from bourbaki.ternary import to_ternary
 
 F = Fraction
 
@@ -74,6 +76,34 @@ def digit_step_map(d: int, a: Fraction = F(2, 3)) -> AffineMap:
     return {0: AffineMap(a, 0), 1: AffineMap(1 - 2 * a, a), 2: AffineMap(a, 1 - a)}[d]
 
 
+@dataclass(frozen=True)
+class Expansion:
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
+
+
+def reference_expansion(x: Fraction) -> Expansion:
+    """The canonical base-3 expansion of x in [0, 1], one digit per division.
+
+    With x's denominator 3**m q', q' coprime to 3, the preperiod has m digits
+    and the period as many as the order of 3 mod q' (none for q' = 1);
+    x = 1 is the period 2.
+    """
+    if x == 1:
+        return Expansion((), (2,))
+    q, m = x.denominator, 0
+    while q % 3 == 0:
+        q, m = q // 3, m + 1
+    length, r = 0, 1 % q
+    while q > 1 and (length == 0 or r != 1):
+        r, length = 3 * r % q, length + 1
+    digits, num = [], x.numerator
+    for _ in range(m + length):
+        d, num = divmod(3 * num, x.denominator)
+        digits.append(d)
+    return Expansion(tuple(digits[:m]), tuple(digits[m:]))
+
+
 def reference_close(e, step) -> Fraction:
     """The value at e under the digit maps ``step(d)``, one AffineMap per digit."""
     v = affine_fixed_point(compose_chain([step(d) for d in e.period])) if e.period else F(0)
@@ -97,7 +127,7 @@ def reference_F(x: Fraction) -> Fraction:
             A, B, P, Q, R = A / 3, B + A * d / 3, P / 3 + Q * alpha, Q * beta, R + P * d / 3 + Q * gamma
         return A, B, P, Q, R
 
-    e = to_ternary(x)
+    e = reference_expansion(x)
     t, v = F(0), F(0)
     if e.period:
         A, B, P, Q, R = walk(e.period)

@@ -1,9 +1,11 @@
 """Block and half-period closures against digit-by-digit references.
 
-``to_ternary`` reads periods six digits at a time, and the closures of f,
-f_a, F and ``from_ternary`` compose six-digit block leaves, over half the
-period when its second half is the digit complement of the first.  The
-references here walk one digit at a time:
+``read_point`` reads periods by long division six digits at a time, and
+the closures of f, f_a and F compose the table leaves of the division's
+blocks, ``from_ternary`` those of an expansion's six-digit slices, over
+half the period when its second half is the digit complement of the
+first.  The references here walk one digit at a time, over
+``reference.reference_expansion``, a one-digit long division:
 
 * f, f_a and ``from_ternary``: ``reference.compose_chain`` over one
   ``Fraction`` ``AffineMap`` per digit, and its ``affine_fixed_point`` for
@@ -16,7 +18,9 @@ references here walk one digit at a time:
   primes, and long-period values are pinned by their SHA-256.
 
 The denominators cover both kinds of period (antiperiodic, when 3**(L/2) is
--1 mod q', and not) at every L mod 6, with preperiods of 0 to 3 digits.
+-1 mod q', and not) at every L mod 6, so that the division's last block
+takes every length from 1 to 6 in both kinds, with preperiods of 0 to 7
+digits; f, f_a and F must not build a ``TernaryExpansion`` on the way.
 
 At denominators up to 10**6, where a digit walk would be slow, the values are
 enclosed instead: F by its level-8 table, and f_a by a depth-60 segment of its
@@ -28,13 +32,27 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from bourbaki import antiderivative, ternary
+from bourbaki import antiderivative, function, ternary
 from bourbaki.antiderivative import build_F_iterate, eval_F_exact
 from bourbaki.function import FamilyParam, eval_exact
-from bourbaki.ternary import from_ternary, half_period, to_ternary
-from reference import AffineMap, digit_step_map, reference_bracket, reference_close, reference_F
+from bourbaki.ternary import (
+    PeriodReading,
+    TernaryExpansion,
+    from_ternary,
+    half_period,
+    read_point,
+    to_ternary,
+)
+from reference import (
+    AffineMap,
+    digit_step_map,
+    reference_bracket,
+    reference_close,
+    reference_expansion,
+    reference_F,
+)
 
 F = Fraction
 
@@ -169,8 +187,8 @@ class TestRoutesAgree:
         assert eval_F_exact(1 - x) - value == F(1, 2) - x
         assert _in_F_table_enclosure(x, value)
         # one constant per block of one to six digits, however long the period
-        blocks = ternary._block_leaves(antiderivative._compose_blocks, antiderivative._DIGIT_MAPS)
-        assert 0 < len(blocks) <= 3 + 9 + 27 + 81 + 243 + 729
+        rows = ternary._block_table(antiderivative._compose_blocks, antiderivative._DIGIT_MAPS)
+        assert 0 < sum(map(len, rows[1:])) <= 3 + 9 + 27 + 81 + 243 + 729
 
     @pytest.mark.parametrize("x", [F(2, 9 * 1999), F(5, 3 * 3041), F(5, 3 * 2003)])
     def test_F_at_long_periods(self, x):
@@ -192,6 +210,90 @@ class TestRoutesAgree:
         assert eval_exact(x) == reference_close(e, digit_step_map)
         assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param.a))
         assert from_ternary(e) == x
+
+
+ROUTE_PARAMS = [FamilyParam(F(2, 3)), FamilyParam(F(37, 76)), FamilyParam(F(1, 5))]
+
+
+def _assert_division_route(x: Fraction) -> None:
+    # f, f_a and F from the division's blocks, against one-digit references;
+    # to_ternary joins the same division into bytes
+    e = reference_expansion(x)
+    for param in ROUTE_PARAMS:
+        assert eval_exact(x, param) == reference_close(e, lambda d: digit_step_map(d, param.a))
+    assert eval_F_exact(x) == reference_F(x)
+    assert to_ternary(x) == TernaryExpansion(e.preperiod, e.period)
+
+
+def _walked(L: int, anti: bool) -> int:
+    """The digits the division reads of a period of L digits."""
+    return L // 2 if anti else L
+
+
+class TestDivisionRoute:
+    @pytest.mark.parametrize("x", [F(0), F(1), F(1, 2)])
+    def test_ends_and_one_half(self, x):
+        _assert_division_route(x)
+
+    def test_one_half_reads_the_full_period(self):
+        # q' = 2: start = q' - start, and the full-period event wins the tie
+        assert read_point(F(1, 2)) == (b"", 1, 2, PeriodReading([364], [], 1, False))
+
+    def test_one_reads_a_shared_all_twos_period(self):
+        # every read of x = 1 hands out the same reading, so it holds no list
+        assert read_point(F(1)) == (b"", 1, 1, PeriodReading((728,), (), 1, False))
+
+    @pytest.mark.parametrize(
+        "x", [F(1, 3), F(2, 3), F(5, 9), F(26, 27), F(7, 3**5), F(100, 3**6), F(1094, 3**7)]
+    )
+    def test_terminating_points(self, x):
+        assert read_point(x)[3] is None
+        _assert_division_route(x)
+
+    @pytest.mark.parametrize("qp", sorted(PERIODS))
+    def test_last_block_of_every_length(self, qp):
+        L, anti = PERIODS[qp]
+        walked = _walked(L, anti)
+        for start in sorted({1, 2, qp // 2, qp - 1}):
+            if math.gcd(start, qp) != 1:
+                continue
+            pre, rho, q_free, (blocks, rems, last, halved) = read_point(F(start, qp))
+            assert (pre, rho, q_free, halved) == (b"", start, qp, anti)
+            assert 6 * len(blocks) - 6 + last == walked and 1 <= last <= 6
+            assert len(rems) == len(blocks) - 1
+            assert all(0 <= b < 729 for b in blocks)
+            _assert_division_route(F(start, qp))
+
+    def test_last_block_lengths_cover_both_kinds(self):
+        kinds = {((_walked(L, anti) - 1) % 6 + 1, anti) for L, anti in PERIODS.values()}
+        assert kinds == {(n, anti) for n in range(1, 7) for anti in (False, True)}
+
+    @given(
+        st.sampled_from(sorted(PERIODS)), st.integers(5, 7), st.integers(0, 3**7),
+        st.integers(1, 10**4),
+    )
+    @settings(deadline=None, max_examples=60)
+    @example(7, 7, 3**7 - 2, 1)
+    @example(1093, 6, 5, 3)
+    def test_preperiods_across_a_block_seam(self, qp, m, pre, start):
+        x = _point(qp, m, pre, start)
+        assume(len(read_point(x)[0]) == m)
+        _assert_division_route(x)
+
+    def test_closures_build_no_expansion(self, monkeypatch):
+        points = [
+            F(0), F(1), F(1, 2), F(1, 7), F(2, 13), F(5, 9 * 1999), F(1094, 3**7), F(50, 81 * 91),
+        ]
+        param = FamilyParam(F(37, 76))
+        values = [(eval_exact(x), eval_exact(x, param), eval_F_exact(x)) for x in points]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closure went through TernaryExpansion")
+
+        for module in (ternary, function, antiderivative):
+            for name in ("to_ternary", "TernaryExpansion"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert [(eval_exact(x), eval_exact(x, param), eval_F_exact(x)) for x in points] == values
 
 
 class TestEnclosures:

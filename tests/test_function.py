@@ -353,10 +353,26 @@ class TestBracketValue:
         with pytest.raises(ParameterError):
             bracket_value(F(1, 2), -1)
 
+    @pytest.mark.parametrize(
+        "x,bracket",
+        [
+            # a point on a column end takes the left column: [0, 1/3] and [1/3, 2/3]
+            (F(1, 3), (F(0), F(2, 3))),
+            (F(2, 3), (F(1, 3), F(2, 3))),
+            (F(1), (F(1, 3), F(1))),
+        ],
+    )
+    def test_column_ends_take_the_left_column(self, x, bracket):
+        assert bracket_value(x, 1) == bracket
+
 
 class TestApproxEval:
     def test_exact_point_collapses(self):
         assert approx_eval("0", F(1, 10)) == (F(0), F(0))
+
+    def test_stops_once_the_width_reaches_the_tolerance(self):
+        # 0.1 = 0.0022...: after digit 0 the envelope [0, 2/3] is exactly 2/3 wide
+        assert approx_eval("0.1", F(2, 3)) == (F(0), F(2, 3))
 
     def test_half(self):
         lo, hi = approx_eval("0.5", F(1, 1000))

@@ -7,7 +7,7 @@ computed with exact rationals and no long division.
 
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import islice, product
 from math import floor
 import time
 
@@ -46,6 +46,18 @@ def prefix(e: TernaryExpansion, n: int) -> list[int]:
 
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**4)
+
+
+def _check_minimality(period: bytes) -> None:
+    """TernaryExpansion accepts a nonzero period iff it is no power u**k, k > 1."""
+    if not any(period):
+        return
+    L = len(period)
+    if any(period == period[:d] * (L // d) for d in range(1, L) if not L % d):
+        with pytest.raises(DigitError, match="^period is not minimal$"):
+            TernaryExpansion(b"", period)
+    else:
+        assert TernaryExpansion(b"", period).period == period
 
 
 class TestToTernary:
@@ -228,6 +240,35 @@ class TestCanonicalForm:
                 TernaryExpansion((), tuple(word))
         else:
             TernaryExpansion((), tuple(word))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_minimality_on_every_short_word(self, n):
+        # the constructor's rule, w is a power of a shorter word iff it occurs in
+        # ww at 0 < k < |w| (Lyndon and Schuetzenberger), against the definition
+        for digits in product(range(3), repeat=n):
+            _check_minimality(bytes(digits))
+
+    @given(
+        st.lists(st.integers(0, 2), min_size=1, max_size=12),
+        st.integers(1, 7),
+        st.none() | st.tuples(st.integers(0, 10**4), st.integers(1, 2)),
+    )
+    @settings(deadline=None, max_examples=300)
+    @example([0, 1], 2, None)  # L = 4 = 2**2
+    @example([1, 0, 1], 3, None)  # L = 9
+    @example([0, 1, 2, 2, 1], 5, None)  # L = 25
+    @example([1, 0, 2, 2, 1], 5, (7, 1))
+    @example([2, 1, 0], 3, (4, 2))
+    @example([1], 7, None)  # prime L
+    @example([1, 0, 2, 1, 1, 0, 2], 1, None)
+    @example([1, 2], 6, (11, 1))
+    def test_minimality_on_powers(self, u, k, change):
+        # u**k, or u**k with one digit moved by 1 or 2 (mod 3)
+        w = bytearray(u * k)
+        if change:
+            at, step = change
+            w[at % len(w)] = (w[at % len(w)] + step) % 3
+        _check_minimality(bytes(w))
 
     @given(unit_fractions)
     @settings(deadline=None)
