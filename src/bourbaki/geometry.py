@@ -130,15 +130,25 @@ class CoverRectangle:
 
     @property
     def width(self) -> Fraction:
-        return self.x_hi - self.x_lo
+        return Fraction(*_gap(self.x_lo, self.x_hi))
 
     @property
     def height(self) -> Fraction:
-        return self.y_hi - self.y_lo
+        return Fraction(*_gap(self.y_lo, self.y_hi))
 
     @property
     def area(self) -> Fraction:
-        return self.width * self.height
+        """Width times height as one Fraction: one gcd, not three Fraction operations."""
+        (wn, wd), (hn, hd) = _gap(self.x_lo, self.x_hi), _gap(self.y_lo, self.y_hi)
+        return Fraction(wn * hn, wd * hd)
+
+
+def _gap(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """hi - lo as an unreduced pair (numerator, denominator)."""
+    return (
+        hi.numerator * lo.denominator - lo.numerator * hi.denominator,
+        lo.denominator * hi.denominator,
+    )
 
 
 def cover_level(i: int) -> list[CoverRectangle]:

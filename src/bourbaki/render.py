@@ -7,14 +7,20 @@ Tables are rendered straight from their integer y-numerators, the common
 y-denominator and the level (x = k/3**level), with no Fraction or Decimal
 per point.  SVG coordinates keep the rounding of the original Decimal
 renderer digit for digit: the exact value rounded half-even to 40
-significant digits, then half-even to 6 decimal places.
+significant digits, then half-even to 6 decimal places.  Every coordinate
+lies in [2, 898] by construction, so below a denominator of 10**31 the two
+roundings are one: each column of the plot is rounded in one batched
+integer pass and formatted in one C-level map, with no Python call per
+point.  Past 10**31 a point takes both roundings.
 """
 
 from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import add, floordiv, mul
 
 from .errors import ParameterError, ResourceLimitError
 
@@ -30,6 +36,8 @@ _SPAN = _VIEW - 2 * _MARGIN
 # away from it, more than the 0.5e-37 that 40 significant digits move it.
 # The second rounding then gives what one rounding of n/d gives.
 _ONE_ROUNDING_DEN = 10**31
+_MICRO = 10**6
+_POINT = "%d.%06d,%d.%06d".__mod__
 
 
 def format_rational(x) -> str:
@@ -87,14 +95,37 @@ def _div_half_even(num: int, den: int) -> int:
     return q
 
 
-def _coord(num: int, den: int) -> str:
-    """The value num/den in [2, 898] with 6 decimals, rounded as
-    ``Context(prec=40).divide`` and then ``quantize`` round it."""
-    if den >= _ONE_ROUNDING_DEN:
-        places = _CTX.prec - len(str(num // den))
-        num, den = _div_half_even(num * 10**places, den), 10**places
-    whole, frac = divmod(_div_half_even(num * 10**6, den), 10**6)
-    return f"{whole}.{frac:06d}"
+def _forty_digits(num: int, den: int) -> int:
+    """num/den in [2, 898] rounded half-even to 40 significant digits, as
+    ``Context(prec=40).divide`` rounds it, over the denominator 10**39."""
+    places = _CTX.prec - len(str(num // den))
+    return _div_half_even(num * 10**places, den) * 10 ** (39 - places)
+
+
+def _micros(ns, den: int, start: int = 0, step: int = 1) -> list[int]:
+    """10**6 (start + step n)/den rounded half-even, for every n of the column ns.
+
+    Each value must lie in [2, 898]; the result is what ``Context(prec=40)
+    .divide`` and a half-even 6-place ``quantize`` give, times 10**6.  Below
+    ``_ONE_ROUNDING_DEN`` that is one rounding: the quotient of
+    2·10**6·m + den by 2 den, for the numerator m, less 1 on an exact half
+    when it is odd.  A range ns stays a range through the lift to
+    2·10**6·m + den.
+    """
+    if den >= _ONE_ROUNDING_DEN:  # 40 digits first; the rounding below is the second
+        ns = [_forty_digits(start + step * n, den) for n in ns]
+        den, start, step = 10**39, 0, 1
+    lift, two = 2 * _MICRO, 2 * den
+    c0, c1 = lift * start + den, lift * step
+    if isinstance(ns, range):
+        halves = range(c0 + c1 * ns.start, c0 + c1 * ns.stop, c1 * ns.step)
+    else:
+        halves = map(add, repeat(c0), map(mul, repeat(c1), ns))
+    if den % 128:
+        # An exact half needs 2·10**6·m = (2q - 1) den, and the left side is a
+        # multiple of 2**7: with fewer twos in den there is no tie to undo.
+        return list(map(floordiv, halves, repeat(two)))
+    return [q - 1 if q & 1 and not r else q for q, r in map(divmod, halves, repeat(two))]
 
 
 def svg_polyline(table) -> str:
@@ -102,14 +133,16 @@ def svg_polyline(table) -> str:
 
     The unit square maps to the viewBox minus a 2-unit margin, with the
     y axis flipped so larger function values appear higher.  Breakpoint k
-    with numerator n sits at (2 + 896 k/3**level, 2 + 896 (1 - n/yden)).
+    with numerator n sits at (2 + 896 k/3**level, 2 + 896 (1 - n/yden)),
+    always in [2, 898].  Each column is rounded to 6 places in one batched
+    integer pass (two roundings past a denominator of 10**31) and every
+    point is formatted by one C-level map.
     """
     xden, yden = 3**table.level, table.y_denominator
-    top = (_MARGIN + _SPAN) * yden
-    points = " ".join(
-        f"{_coord(_MARGIN * xden + _SPAN * k, xden)},{_coord(top - _SPAN * n, yden)}"
-        for k, n in enumerate(table.y_numerators)
-    )
+    xs = _micros(range(len(table.y_numerators)), xden, _MARGIN * xden, _SPAN)
+    ys = _micros(table.y_numerators, yden, (_MARGIN + _SPAN) * yden, -_SPAN)
+    unit = repeat(_MICRO)
+    points = " ".join(map(_POINT, map(add, map(divmod, xs, unit), map(divmod, ys, unit))))
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_VIEW} {_VIEW}" width="{_VIEW}" height="{_VIEW}">\n'

@@ -8,6 +8,7 @@ summation path.
 """
 
 import decimal
+import hashlib
 import itertools
 from decimal import Decimal
 from fractions import Fraction
@@ -193,6 +194,17 @@ class TestCoverLevel:
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4, 5])
     def test_total_area(self, i):
         assert sum(r.area for r in cover_level(i)) == F(5, 9) ** i
+
+    @pytest.mark.parametrize("i", range(8))
+    def test_area_is_width_times_height(self, i):
+        for r in cover_level(i):
+            width, height = r.x_hi - r.x_lo, r.y_hi - r.y_lo
+            assert (r.width, r.height, r.area) == (width, height, width * height), r.digits
+
+    def test_repr_is_pinned(self):
+        # the dataclass fields and their repr, pinned before ``area`` became one Fraction
+        digest = hashlib.sha256(repr(cover_level(5)).encode()).hexdigest()
+        assert digest == "61bf11f1556f5709b7d9883c6f737011d90c64352b195800b20e92487ff9988c"
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     def test_heights_are_factor_products(self, i):
