@@ -17,7 +17,7 @@ Over a period every tail is rho/q', rho the long-division remainder, and
 a block read from rho leaves rho' = P rho - q' N, so on v = q' G it is the
 integer triple v -> (S v + q' Y + V rho')/D.  ``read_point`` gives each
 block's value and the remainder where it ends, so each block is one
-``period_maps`` constant read at its division remainder; only the last
+``block_maps`` constant read at its division remainder; only the last
 block's N is walked, from the remainder before it, and must land on rho
 (or q' - rho after a half period).  For an antiperiodic period the tail
 after the first half is 1 - t*, and F(1 - t) = F(t) + 1/2 - t appends the
@@ -43,14 +43,13 @@ from typing import Iterator
 from .errors import ConsistencyError, OrderError, ParameterError
 from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
 from .ternary import (
-    PeriodReading,
+    Reading,
     block_maps,
     check_index,
     check_unit_interval,
     close_triples,
     compose_chain,
     digit_triples,
-    period_maps,
     read_point,
 )
 
@@ -100,13 +99,13 @@ def _compose_blocks(outer, inner):
             p2 * n1 + n2, p1 * p2, k1 * k2)
 
 
-def _period_leaves(period: PeriodReading, rho: int, q_free: int) -> list:
+def _period_leaves(period: Reading, rho: int, q_free: int) -> list:
     """The period's leaves for ``close_triples`` at the tail t* = rho/q', from
-    its ``PeriodReading``: one triple (S, q' Y + V rho', D) per block, read
+    its ``Reading``: one triple (S, q' Y + V rho', D) per block, read
     at the division's remainder rho' where that block ends, then the
     translation leaf of an antiperiodic period's second half."""
     rems, halved = period.rems, period.halved
-    consts = period_maps(period, _compose_blocks, _DIGIT_MAPS)
+    consts = block_maps(period, _compose_blocks, _DIGIT_MAPS)
     end = q_free - rho if halved else rho
     _, _, _, _, n, p, _ = consts[-1]
     if (rems[-1] if rems else rho) * p - q_free * n != end:

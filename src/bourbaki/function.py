@@ -31,6 +31,7 @@ from .errors import (
     ConsistencyError,
     ParameterError,
     ParseError,
+    ResourceLimitError,
 )
 from .ternary import (
     check_index,
@@ -44,6 +45,9 @@ from .ternary import (
 MAX_TABLE_LEVEL = 13
 MAX_CLOSED_FORM_INDEX = 1000
 MAX_BRACKET_DEPTH = 1000
+# the envelope after n digits is at most (2/3)**n wide, so the smallest
+# tolerance the CLI parses, 10**-4299, needs at most 24,414 digits
+MAX_APPROX_DEPTH = 25_000
 
 
 @dataclass(frozen=True)
@@ -58,10 +62,6 @@ class FamilyParam:
             raise ParameterError(f"family parameter must be a Fraction, got {type(a).__name__}")
         if not 0 < a < 1:
             raise ParameterError(f"family parameter a = {a} must satisfy 0 < a < 1")
-
-    @property
-    def is_classical(self) -> bool:
-        return self.a == Fraction(2, 3)
 
 
 CLASSICAL = FamilyParam(Fraction(2, 3))
@@ -146,27 +146,24 @@ def eval_iterate(t: BreakpointTable, x) -> Fraction:
 
 
 def ifs_refine(t: BreakpointTable) -> BreakpointTable:
-    """Next classical iterate as the union of the three map images of ``t``.
+    """Next iterate of f_a as the union of the three plane-map images of ``t``.
 
-    The classical graph is the attractor of the plane maps w1 (x, y) = (x/3, 2y/3),
-    w2 (x, y) = ((2 - x)/3, (1 + y)/3) and w3 (x, y) = ((2 + x)/3, (1 + 2y)/3).
-    The w2 image is re-ordered (that map reverses x) and the shared corner
-    points of adjacent images are deduplicated after an exact equality check.
-    Must agree exactly with ``build_iterate(t.level + 1)``.
+    The graph of f_a is the attractor of the plane maps that send (x, y) to
+    ((d + x)/3, (s_d y + b_d)/q), d = 0, 1, 2, for the ``digit_triples``
+    (s_d, b_d, q) of a: image d maps the table's numerators n over Y to
+    s_d n + b_d Y over q Y.  The shared corner points of adjacent images
+    are deduplicated after an exact equality check.  Must agree exactly
+    with ``build_iterate(t.level + 1, t.param)``; tables of F are refused.
     """
-    if t.param is None or not t.param.is_classical:
-        raise ParameterError("the iterated function system applies to a = 2/3 only")
+    if t.param is None:
+        raise ParameterError("the iterated function system applies to tables of f_a only")
     check_index(t.level + 1, cap=MAX_TABLE_LEVEL)
-    pow3 = 3**t.level
-    ynums = t.y_numerators
-    # New common denominator 3**(level+1); x-index j runs over 0 .. 3**(level+1).
-    left = [2 * n for n in ynums]
-    middle = [pow3 + n for n in reversed(ynums)]
-    right = [pow3 + 2 * n for n in ynums]
+    a, ynums, yden = t.param.a, t.y_numerators, t.y_denominator
+    left, middle, right = ([s * n + b * yden for n in ynums] for s, b, _ in digit_triples(a))
     if left[-1] != middle[0] or middle[-1] != right[0]:
         raise ConsistencyError("map images disagree at shared corners")
     merged = left + middle[1:] + right[1:]
-    return BreakpointTable(t.level + 1, merged, 3 * pow3, t.param)
+    return BreakpointTable(t.level + 1, merged, a.denominator * yden, t.param)
 
 
 def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
@@ -280,6 +277,8 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
     [0, 1] under the composite) is no wider than ``tol``.  The true f(r) lies
     inside the returned closed interval; the width shrinks like (2/3)**depth.
     The composite is an integer triple (s, b, 3**depth), as in ``eval_exact``.
+    An envelope still wider than ``tol`` after MAX_APPROX_DEPTH digits raises
+    ``ResourceLimitError``: the cost grows as the square of the depth.
     """
     r = check_unit_interval(parse_decimal(text), "decimal input")
     if isinstance(tol, bool) or not isinstance(tol, (int, Fraction)):
@@ -289,12 +288,16 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
     leaf = digit_triples(CLASSICAL.a)
     s, b, den = 1, 0, 1
     digits = digit_stream(r)
+    depth = 0
     while abs(s) * tol.denominator > tol.numerator * den:  # |s/den| > tol
         d = next(digits, None)
         if d is None:
             v = Fraction(b, den)  # terminating expansion: the tail is exactly 0
             return (v, v)
+        if depth == MAX_APPROX_DEPTH:
+            raise ResourceLimitError(f"enclosure deeper than {MAX_APPROX_DEPTH} base-3 digits")
         s, b, den = compose_triples((s, b, den), leaf[d])
+        depth += 1
     lo, hi = Fraction(b, den), Fraction(s + b, den)
     return (lo, hi) if lo <= hi else (hi, lo)
 

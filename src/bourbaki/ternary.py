@@ -4,31 +4,27 @@ Every closure composes unreduced integer triples (s, b, d), each the map
 v -> (s v + b)/d, and reduces once, in the ``Fraction`` it returns:
 
 * ``read_point`` and ``read_period`` -- the one reader of a rational's
-  base-3 digits: the preperiod by recursive halving, as ``bytes`` of the
-  digit values 0, 1 and 2, and the period by long division by 3**6, as
-  the six-digit block values of a ``PeriodReading``.  When 3**(L/2) = -1 mod q', the period's second
-  half is the digit complement (0 <-> 2) of the first, and the division
-  stops at the half.
+  base-3 digits, in one format: a ``Reading`` of six-digit block values.
+  The preperiod is read by recursive halving, the period by long division
+  by 3**6.  When 3**(L/2) = -1 mod q', the period's second half is the
+  digit complement (0 <-> 2) of the first, and the division stops at the
+  half.
 * ``TernaryExpansion`` -- the canonical expansion, one per rational, with
   ``bytes`` digits (``check_digits`` is the one test of a digit);
   ``to_ternary`` joins it from ``read_point``, and no closure of a point
-  builds one.
-* ``period_maps`` and ``block_maps`` -- each block's composite of digit
-  maps, for any associative ``compose``, from one table per digit algebra
-  indexed by block value: for the division's blocks, and for ``bytes``
-  digits cut into six-digit blocks.
+  builds one.  ``from_ternary`` values it by place value.
+* ``block_maps`` -- each block's composite of digit maps, for any
+  associative ``compose``, from one table per digit algebra indexed by
+  block value.
 * ``compose_chain`` -- the one product tree for every chain of block maps.
 * ``close_triples`` -- the one closing step: the ``affine_fixed_point`` of
   the period's composite, carried by the preperiod's into one ``Fraction``.
 * ``digit_triples`` -- the one statement of the digit maps of f_a, as
   integer triples (s_d, b_d, q) with f((d + t)/3) = (s_d f(t) + b_d)/q for
   a = p/q; the antiderivative's digit maps are derived from them.
-* ``close_point`` -- f_a at a rational point, from the division's blocks;
-  ``from_ternary`` closes an expansion under v -> (v + d)/3, the maps of
-  the member a = 1/3, whose limit function is the identity.  Both close
-  through ``_close_member``, where the second half of an antiperiodic
-  period is the leaf v -> 1 - v, since f(1 - t) = 1 - f(t) for every f_a
-  (``half_period`` finds that half in an expansion).
+* ``close_point`` -- f_a at a rational point, from ``read_point``'s blocks;
+  the second half of an antiperiodic period is the leaf v -> 1 - v, since
+  f(1 - t) = 1 - f(t) for every f_a.
 
 No floating point is used anywhere in this module.
 """
@@ -168,35 +164,37 @@ def _split_threes(q: int) -> tuple[int, int]:
     return v, q
 
 
-def _base3_digits(n: int, width: int) -> bytes:
-    """The ``width`` base-3 digits of n < 3**width, most significant first.
+def _base3_blocks(n: int, count: int) -> list[int]:
+    """The ``count`` six-digit block values (< 3**6) of n < 3**(6 count),
+    most significant first.
 
-    Recursive halving: one ``divmod`` by 3**(width // 2) splits off the low
-    half, down to blocks of at most six digits, so a long string costs a few
-    full-size divisions per halving level rather than one per digit.
+    Recursive halving: one ``divmod`` by 3**(6 (count // 2)) splits off the
+    low half, down to single blocks, so a long run costs a few full-size
+    divisions per halving level rather than one per block.
     """
-    if width <= 6:
-        return _SIX_DIGIT_BLOCKS[n][6 - width:]
-    h = width // 2
-    hi, lo = divmod(n, 3**h)
-    return _base3_digits(hi, width - h) + _base3_digits(lo, h)
+    if count == 1:
+        return [n]
+    h = count // 2
+    hi, lo = divmod(n, 729**h)
+    return _base3_blocks(hi, count - h) + _base3_blocks(lo, h)
 
 
-class PeriodReading(NamedTuple):
-    """A period as the long division by 3**6 reads it: ``blocks`` holds the
-    six-digit block values (< 3**6), ``rems`` the remainder after each block
-    but the last, ``last`` the number of the last block's leading digits
-    (1 to 6) that end the period, and ``halved`` whether the division
+class Reading(NamedTuple):
+    """A run of base-3 digits as ``read_point`` reads it: ``blocks`` holds
+    the six-digit block values (< 3**6), most significant first, and
+    ``last`` the number of the last block's leading digits (1 to 6) that
+    end the run.  A period also carries ``rems``, the division's remainder
+    after each block but the last, and ``halved``, whether the division
     stopped at the half period."""
 
     blocks: Sequence[int]
-    rems: Sequence[int]
     last: int
-    halved: bool
+    rems: Sequence[int] = ()
+    halved: bool = False
 
 
-def read_period(start: int, q_free: int) -> PeriodReading:
-    """The ``PeriodReading`` of the periodic tail start/q', 0 < start < q'.
+def read_period(start: int, q_free: int) -> Reading:
+    """The ``Reading`` of the periodic tail start/q', 0 < start < q'.
 
     The remainder after k digits is
     start * 3**k mod q', so one dict lookup per block, keyed by
@@ -230,45 +228,53 @@ def read_period(start: int, q_free: int) -> PeriodReading:
     past, halved = ends[num]
     if (6 * len(blocks) - past) << halved > cap:
         raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
-    return PeriodReading(blocks, rems, 6 - past, halved)
+    return Reading(blocks, 6 - past, rems, halved)
 
 
 # the tail 1 = 0.222...: the one-digit period 2, which long division never gives
-_ALL_TWOS = PeriodReading((728,), (), 1, False)
+_ALL_TWOS = Reading((728,), 1)
 
 
-def read_point(x) -> tuple[bytes, int, int, PeriodReading | None]:
+def read_point(x) -> tuple[Reading | None, int, int, Reading | None]:
     """The base-3 digits of a rational x in [0, 1] as (pre, rho, q', period).
 
     Write the reduced x = p/q with q = 3**v * q' and q' coprime to 3
     (``_split_threes``).  One ``divmod`` splits 3**v * x = p/q' into
-    whole + rho/q': pre is the v base-3 digits of whole (< 3**v,
-    ``_base3_digits``), rho/q' is the purely periodic tail, and period is
-    its ``read_period`` (None when rho = 0).  x = 1 reads as rho = q' = 1
-    with the period 2.  A preperiod over MAX_PREPERIOD_DIGITS digits raises
-    ``ResourceLimitError`` before any digit is read.
+    whole + rho/q': pre is the ``Reading`` of the v base-3 digits of
+    whole (< 3**v), its last block left-aligned as a period's is
+    (``_base3_blocks``, None when v = 0), rho/q' is the purely periodic
+    tail, and period is its ``read_period`` (None when rho = 0).  x = 1
+    reads as rho = q' = 1 with the period 2.  A preperiod over
+    MAX_PREPERIOD_DIGITS digits raises ``ResourceLimitError`` before any
+    digit is read.
     """
     r = check_unit_interval(x)
     if r == 1:
-        return b"", 1, 1, _ALL_TWOS
+        return None, 1, 1, _ALL_TWOS
     v, q_free = _split_threes(r.denominator)
     whole, rho = divmod(r.numerator, q_free)
-    return _base3_digits(whole, v), rho, q_free, read_period(rho, q_free) if rho else None
+    pre = Reading(_base3_blocks(whole * 3 ** (-v % 6), -(-v // 6)), (v - 1) % 6 + 1) if v else None
+    return pre, rho, q_free, read_period(rho, q_free) if rho else None
+
+
+def _digits(reading: Reading | None) -> bytes:
+    """The digits of a ``Reading`` as ``bytes`` (none for None): its blocks
+    cut to its length, followed by their digit complement when the
+    division stopped at the half period."""
+    if reading is None:
+        return b""
+    blocks = reading.blocks
+    ds = b"".join(map(_SIX_DIGIT_BLOCKS.__getitem__, blocks))[: 6 * len(blocks) - 6 + reading.last]
+    if reading.halved:
+        ds += ds.translate(_COMPLEMENT)
+    return ds
 
 
 def to_ternary(x) -> TernaryExpansion:
     """Canonical base-3 expansion of a rational in [0, 1], joined from
-    ``read_point``: the period is the division's blocks cut to its length,
-    followed by their digit complement when the division stopped at the
-    half period."""
+    ``read_point``'s readings of the preperiod and the period."""
     pre, _, _, period = read_point(x)
-    per = b""
-    if period:
-        blocks = period.blocks
-        per = b"".join(map(_SIX_DIGIT_BLOCKS.__getitem__, blocks))[: 6 * len(blocks) - 6 + period.last]
-        if period.halved:
-            per += per.translate(_COMPLEMENT)
-    return TernaryExpansion(pre, per)
+    return TernaryExpansion(_digits(pre), _digits(period))
 
 
 def digit_stream(x) -> Iterator[int]:
@@ -363,7 +369,7 @@ def _block_table(compose: Callable, leaves: tuple) -> tuple:
     """rows[n][v], n = 1 .. 6: the composite leaves[w[0]] o ... o leaves[w[-1]]
     of the n-digit block w of base-3 value v.  Row 1 is ``leaves``; the
     six-digit row joins three-digit halves, and the shorter rows serve the
-    last block of a period and preperiods.  The cache keeps the tables of
+    last block of a ``Reading``.  The cache keeps the tables of
     the last few algebras, each of at most 3 + 9 + ... + 729 = 1,092 entries."""
     rows = [None, leaves]
     for n in range(2, 7):
@@ -372,42 +378,16 @@ def _block_table(compose: Callable, leaves: tuple) -> tuple:
     return tuple(rows)
 
 
-# base-3 digit values -> the ASCII digits that int(..., 3) reads
-_DIGIT_CHARS = bytes.maketrans(b"\x00\x01\x02", b"012")
-
-
-def block_maps(digits: bytes, compose: Callable, leaves: tuple) -> list:
-    """The composite leaves[w[0]] o ... o leaves[w[-1]] of each six-digit block w
-    of ``digits`` in order, the last block holding what is left, from the
-    table of (compose, leaves): their ``compose_chain`` is the composite of
-    all of ``digits``."""
+def block_maps(reading: Reading, compose: Callable, leaves: tuple) -> list:
+    """The composite leaves[w[0]] o ... o leaves[w[-1]] of each block w of a
+    ``Reading`` in order, from the table of (compose, leaves): six digits
+    per block, and the last block's ``last`` leading digits.  Their
+    ``compose_chain`` is the composite of the whole run."""
     rows = _block_table(compose, leaves)
-    blocks = (digits[k:k + 6] for k in range(0, len(digits), 6))
-    return [rows[len(w)][int(w.translate(_DIGIT_CHARS), 3)] for w in blocks]
-
-
-def period_maps(period: PeriodReading, compose: Callable, leaves: tuple) -> list:
-    """The composite of each block of a ``PeriodReading``, from the table
-    of (compose, leaves): six digits per block, and the last block's
-    ``last`` leading digits."""
-    rows = _block_table(compose, leaves)
-    blocks, last = period.blocks, period.last
+    blocks, last = reading.blocks, reading.last
     maps = list(map(rows[6].__getitem__, blocks[:-1]))
     maps.append(rows[last][blocks[-1] // 3 ** (6 - last)])
     return maps
-
-
-def half_period(period: bytes) -> tuple[bytes, bool]:
-    """The digits a closure composes for a nonempty period, and whether they are
-    its first half w: (w, True) when the period is w then its digit complement
-    (0 <-> 2), since the periodic tail t is then 1 - t after w; else (period, False).
-    The division finds this half as it reads; an expansion's ``bytes`` carry no
-    division, so ``from_ternary`` finds it here."""
-    h, odd = divmod(len(period), 2)
-    w = period[:h]
-    if odd or period[h:] != w.translate(_COMPLEMENT):
-        return period, False
-    return w, True
 
 
 def close_triples(period: list, pre: list, scale: int = 1) -> Fraction:
@@ -426,34 +406,37 @@ def close_triples(period: list, pre: list, scale: int = 1) -> Fraction:
     return Fraction(num, scale * den)
 
 
-def _close_member(leaves: list, halved: bool, pre: bytes, maps: tuple) -> Fraction:
-    """``close_triples`` under the digit triples ``maps`` of one f_a: the
-    period's ``leaves``, with the leaf v -> 1 - v appended when they cover
-    the first half of an antiperiodic period, and the ``block_maps`` of the
-    preperiod digits ``pre``."""
-    if halved:
-        leaves.append(_COMPLEMENT_MAP)
-    return close_triples(leaves, block_maps(pre, compose_triples, maps))
-
-
 def close_point(x, a: Fraction) -> Fraction:
-    """f_a at a rational x in [0, 1], under the maps ``digit_triples(a)``: the
-    ``period_maps`` of ``read_point``'s division, closed by ``_close_member``."""
+    """f_a at a rational x in [0, 1]: ``close_triples`` of the ``block_maps``
+    of ``read_point``'s period and preperiod under the maps
+    ``digit_triples(a)``, with the leaf v -> 1 - v appended when the period
+    leaves cover the first half of an antiperiodic period."""
     pre, _, _, period = read_point(x)
     maps = digit_triples(a)
-    if period is None:
-        return _close_member([], False, pre, maps)
-    return _close_member(period_maps(period, compose_triples, maps), period.halved, pre, maps)
+    leaves = block_maps(period, compose_triples, maps) if period else []
+    if period and period.halved:
+        leaves.append(_COMPLEMENT_MAP)
+    return close_triples(leaves, block_maps(pre, compose_triples, maps) if pre else [])
 
 
-_BASE3_MEMBER = digit_triples(Fraction(1, 3))
+# base-3 digit values -> the ASCII digits that int(..., 3) reads
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01\x02", b"012")
+
+
+def _base3_value(digits: bytes) -> int:
+    """The int with the base-3 ``digits``, most significant first (0 for
+    none): halves down to leaves of at most 1,000 digits, each read by
+    ``int(..., 3)``, far below Python's limit on str-to-int digits."""
+    n = len(digits)
+    if n <= 1000:
+        return int(b"0" + digits.translate(_DIGIT_CHARS), 3)
+    h = n // 2
+    return _base3_value(digits[:-h]) * 3**h + _base3_value(digits[-h:])
 
 
 def from_ternary(e: TernaryExpansion) -> Fraction:
-    """Exact value of a canonical expansion: ``_close_member`` of the
-    ``block_maps`` of its digits under the maps v -> (v + d)/3 of the member
-    a = 1/3, whose limit function is the identity, over the ``half_period``
-    of its period."""
-    digits, halved = half_period(e.period) if e.period else (b"", False)
-    leaves = block_maps(digits, compose_triples, _BASE3_MEMBER)
-    return _close_member(leaves, halved, e.preperiod, _BASE3_MEMBER)
+    """Exact value of a canonical expansion by place value: a preperiod P of
+    m digits and a period W of L digits make (P + W/(3**L - 1))/3**m."""
+    den = 3 ** len(e.period) - 1 if e.period else 1
+    num = _base3_value(e.preperiod) * den + _base3_value(e.period)
+    return Fraction(num, den * 3 ** len(e.preperiod))

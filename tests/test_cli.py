@@ -318,7 +318,7 @@ class TestVerifyCommand:
         exact = verify.eval_exact
 
         def shifted(x, param=CLASSICAL):
-            return exact(x, param) + (F(1, 2) if param.is_classical else 0)
+            return exact(x, param) + (F(1, 2) if param == CLASSICAL else 0)
 
         monkeypatch.setattr(verify, "eval_exact", shifted)
         failures = run_verification("family", 42, 5).failures

@@ -1,11 +1,13 @@
 """Block and half-period closures against digit-by-digit references.
 
-``read_point`` reads periods by long division six digits at a time, and
-the closures of f, f_a and F compose the table leaves of the division's
-blocks, ``from_ternary`` those of an expansion's six-digit slices, over
-half the period when its second half is the digit complement of the
-first.  The references here walk one digit at a time, over
-``reference.reference_expansion``, a one-digit long division:
+``read_point`` reads a rational's digits in one format, six-digit block
+values: the preperiod by recursive halving, the period by long division
+six digits at a time.  The closures of f, f_a and F compose the table
+leaves of those blocks, over half the period when its second half is the
+digit complement of the first; ``from_ternary`` values an expansion by
+place value and shares no code with them.  The references here walk one
+digit at a time, over ``reference.reference_expansion``, a one-digit long
+division:
 
 * f, f_a and ``from_ternary``: ``reference.compose_chain`` over one
   ``Fraction`` ``AffineMap`` per digit, and its ``affine_fixed_point`` for
@@ -38,10 +40,9 @@ from bourbaki import antiderivative, function, ternary
 from bourbaki.antiderivative import build_F_iterate, eval_F_exact
 from bourbaki.function import FamilyParam, eval_exact
 from bourbaki.ternary import (
-    PeriodReading,
+    Reading,
     TernaryExpansion,
     from_ternary,
-    half_period,
     read_point,
     to_ternary,
 )
@@ -151,7 +152,6 @@ class TestPeriodKinds:
         h = L // 2
         swapped = period[:h].translate(bytes.maketrans(b"\x00\x02", b"\x02\x00"))
         assert (L % 2 == 0 and period[h:] == swapped) == anti
-        assert half_period(period) == ((period[:h], True) if anti else (period, False))
 
     def test_every_residue_of_L_mod_6_in_both_kinds(self):
         kinds = {(L % 6, anti) for L, anti in PERIODS.values()}
@@ -237,11 +237,11 @@ class TestDivisionRoute:
 
     def test_one_half_reads_the_full_period(self):
         # q' = 2: start = q' - start, and the full-period event wins the tie
-        assert read_point(F(1, 2)) == (b"", 1, 2, PeriodReading([364], [], 1, False))
+        assert read_point(F(1, 2)) == (None, 1, 2, Reading([364], 1, [], False))
 
     def test_one_reads_a_shared_all_twos_period(self):
         # every read of x = 1 hands out the same reading, so it holds no list
-        assert read_point(F(1)) == (b"", 1, 1, PeriodReading((728,), (), 1, False))
+        assert read_point(F(1)) == (None, 1, 1, Reading((728,), 1, (), False))
 
     @pytest.mark.parametrize(
         "x", [F(1, 3), F(2, 3), F(5, 9), F(26, 27), F(7, 3**5), F(100, 3**6), F(1094, 3**7)]
@@ -250,6 +250,19 @@ class TestDivisionRoute:
         assert read_point(x)[3] is None
         _assert_division_route(x)
 
+    @pytest.mark.parametrize(
+        "x,pre",
+        [
+            # 0.21 and 0.2222221: the last block is left-aligned, as a period's
+            (F(7, 9), Reading([7 * 3**4], 2)),
+            (F(3**7 - 2, 3**7), Reading([728, 3**5], 1)),
+            (F(1, 2 * 3**6), Reading([0], 6)),
+            (F(1, 7), None),
+        ],
+    )
+    def test_preperiod_reads_six_digit_blocks(self, x, pre):
+        assert read_point(x)[0] == pre
+
     @pytest.mark.parametrize("qp", sorted(PERIODS))
     def test_last_block_of_every_length(self, qp):
         L, anti = PERIODS[qp]
@@ -257,8 +270,8 @@ class TestDivisionRoute:
         for start in sorted({1, 2, qp // 2, qp - 1}):
             if math.gcd(start, qp) != 1:
                 continue
-            pre, rho, q_free, (blocks, rems, last, halved) = read_point(F(start, qp))
-            assert (pre, rho, q_free, halved) == (b"", start, qp, anti)
+            pre, rho, q_free, (blocks, last, rems, halved) = read_point(F(start, qp))
+            assert (pre, rho, q_free, halved) == (None, start, qp, anti)
             assert 6 * len(blocks) - 6 + last == walked and 1 <= last <= 6
             assert len(rems) == len(blocks) - 1
             assert all(0 <= b < 729 for b in blocks)
@@ -277,7 +290,7 @@ class TestDivisionRoute:
     @example(1093, 6, 5, 3)
     def test_preperiods_across_a_block_seam(self, qp, m, pre, start):
         x = _point(qp, m, pre, start)
-        assume(len(read_point(x)[0]) == m)
+        assume(len(to_ternary(x).preperiod) == m)
         _assert_division_route(x)
 
     def test_closures_build_no_expansion(self, monkeypatch):

@@ -8,10 +8,13 @@ route through 40 construction steps must enclose the same value.
 
 from fractions import Fraction
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bourbaki import function
+from bourbaki.antiderivative import build_F_iterate
 from bourbaki.errors import (
     DomainError,
     ParameterError,
@@ -65,8 +68,8 @@ params = st.fractions(min_value=0, max_value=1, max_denominator=30).filter(
 
 class TestFamilyParam:
     def test_classical_flag(self):
-        assert CLASSICAL.is_classical
-        assert not HALF_PARAM.is_classical
+        assert FamilyParam(F(2, 3)) == CLASSICAL
+        assert HALF_PARAM != CLASSICAL
 
     @pytest.mark.parametrize("a", [F(0), F(1), F(-1, 3), F(7, 5)])
     def test_rejects_out_of_range(self, a):
@@ -159,9 +162,19 @@ class TestIFS:
         t = ifs_refine(build_iterate(2))
         assert [x for x, _ in t.breakpoints] == [F(k, 27) for k in range(28)]
 
-    def test_refine_rejects_family_tables(self):
+    @given(params, st.integers(0, 6))
+    @settings(deadline=None, max_examples=40)
+    @example(CLASSICAL, 6)
+    @example(FamilyParam(F(37, 76)), 6)
+    @example(HALF_PARAM, 6)
+    @example(FamilyParam(F(1, 5)), 6)
+    @example(FamilyParam(F(5, 6)), 6)
+    def test_refine_matches_build_for_every_a(self, param, i):
+        assert ifs_refine(build_iterate(i, param)) == build_iterate(i + 1, param)
+
+    def test_refine_rejects_F_tables(self):
         with pytest.raises(ParameterError):
-            ifs_refine(build_iterate(1, HALF_PARAM))
+            ifs_refine(build_F_iterate(1))
 
 
 class TestDigitStepMap:
@@ -402,6 +415,25 @@ class TestApproxEval:
     def test_tolerance_must_be_exact(self, tol):
         with pytest.raises(ParameterError):
             approx_eval("0.5", tol)
+
+    def test_depth_budget(self, monkeypatch):
+        # 0.1 = 0.00220022...: n digits of 0 and 2 leave an envelope (2/3)**n wide
+        monkeypatch.setattr(function, "MAX_APPROX_DEPTH", 10)
+        lo, hi = approx_eval("0.1", F(2, 3) ** 10)
+        assert hi - lo == F(2, 3) ** 10
+        with pytest.raises(ResourceLimitError):
+            approx_eval("0.1", F(2, 3) ** 11)
+        assert approx_eval("0", F(1, 10**9)) == (F(0), F(0))
+
+    def test_depth_budget_at_the_real_cap(self):
+        # the CLI parses at most 4,300 digits, so its smallest tolerance,
+        # 10**-4299, is reached within the cap; 10**-4403 needs 25,004 digits
+        assert F(2, 3) ** function.MAX_APPROX_DEPTH < F(1, 10**4299)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            approx_eval("0.1", F(1, 10**4403))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5, f"approx_eval took {elapsed:.2f} s to reach its depth cap"
 
     @given(decimals(1, 6), tolerances)
     @settings(deadline=None, max_examples=60)

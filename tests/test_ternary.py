@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import islice, product
 from math import floor
+import random
 import time
 
 import pytest
@@ -138,13 +139,32 @@ class TestToTernary:
         assert e.preperiod == b"\x02" * (v - 1) + b"\x01"
         assert elapsed < 3, f"to_ternary took {elapsed:.2f} s for a {v}-digit preperiod"
 
-    @pytest.mark.parametrize("pre", [0, 1, 5, 6, 7, 13, 100])
+    @pytest.mark.parametrize("pre", [*range(14), 100])
     def test_preperiod_digits_of_every_width(self, pre):
-        # x = (n + 1/7)/3**pre reads the pre digits of n before the period of 1/7
+        # x = (n + 1/7)/3**pre reads the pre digits of n before the period of 1/7;
+        # n's last digit is not 2, the period's last, or the preperiod would shrink
         n = (3**pre - 1) * 5 // 7
+        n -= n % 3 == 2
         e = to_ternary((n + Fraction(1, 7)) / 3**pre)
         assert list(e.preperiod) == [n // 3 ** (pre - 1 - k) % 3 for k in range(pre)]
         assert e.period == to_ternary(Fraction(1, 7)).period
+
+    @given(st.integers(0, 20000), st.integers(0, 2**64))
+    @settings(deadline=None, max_examples=40)
+    @example(1000, 0)
+    @example(1001, 0)
+    @example(4301, 0)
+    @example(20000, 0)
+    def test_place_value_inverts_the_preperiod_digits(self, width, seed):
+        # n < 3**width read as the preperiod of (n + t)/3**width, then back:
+        # past the 1,000-digit leaves and Python's 4,300-digit str-to-int limit;
+        # the tail t = 0.111... or 0.0202... differs from n in its last digit;
+        # seed 0 stands for the all-2 n
+        n = random.Random(seed).randrange(3**width) if seed else 3**width - 1
+        tail = Fraction(1, 4 if n % 3 == 1 else 2)
+        digits = ternary._digits(ternary.read_point((n + tail) / 3**width)[0])
+        assert len(digits) == width
+        assert ternary._base3_value(digits) == n
 
     def test_preperiod_budget(self, monkeypatch):
         monkeypatch.setattr(ternary, "MAX_PREPERIOD_DIGITS", 6)
@@ -394,18 +414,21 @@ class TestAffine:
 
 class TestBlockMaps:
     @given(
-        st.binary(max_size=40).map(lambda b: bytes(c % 3 for c in b)),
+        st.lists(st.integers(0, 728), min_size=1, max_size=7),
+        st.integers(1, 6),
         st.fractions(min_value=0, max_value=1, max_denominator=100),
     )
-    def test_blocks_compose_to_the_digit_fold(self, digits, a):
+    def test_blocks_compose_to_the_digit_fold(self, blocks, last, a):
         # f_a's integer triples and F's block constants, each against its own
-        # digit-by-digit fold: composition is exactly associative
+        # digit-by-digit fold: composition is exactly associative; the last
+        # block's digits past ``last`` are not read
+        digits = [w // 3 ** (5 - k) % 3 for w in blocks for k in range(6)]
+        digits = digits[: 6 * len(blocks) - 6 + last]
         for compose, leaves in (
             (compose_triples, digit_triples(a)),
             (antiderivative._compose_blocks, antiderivative._DIGIT_MAPS),
         ):
-            blocks = block_maps(digits, compose, leaves)
-            assert len(blocks) == -(-len(digits) // 6)
-            if digits:
-                fold = reduce(compose, [leaves[d] for d in digits])
-                assert compose_chain(blocks, compose) == fold
+            maps = block_maps(ternary.Reading(blocks, last), compose, leaves)
+            assert len(maps) == len(blocks)
+            fold = reduce(compose, [leaves[d] for d in digits])
+            assert compose_chain(maps, compose) == fold
