@@ -53,9 +53,6 @@ from .ternary import (
     read_point,
 )
 
-F_HALF = Fraction(1, 2)
-
-
 def _integrate(t: BreakpointTable) -> BreakpointTable:
     """F's table at the level of the classical f table ``t``, which must reach F(1) = 1/2."""
     n = t.y_numerators
@@ -144,7 +141,7 @@ def integral_symmetric(x) -> Fraction:
     """The integral of f over [x, 1-x], which the symmetry of f makes exactly
     1/2 - x (negative for x > 1/2, read as the oriented integral)."""
     r = check_unit_interval(x)
-    return F_HALF - r
+    return Fraction(1, 2) - r
 
 
 def range_integral(a, b) -> Fraction:

@@ -12,7 +12,8 @@ Equivalently, prepending a base-3 digit to a point transforms the value by an
 affine map, and the graph of the classical function is the attractor of three
 plane affine maps.  Those three descriptions are implemented side by side and
 cross-checked: refinement tables, digit maps with exact periodic-tail closure,
-and the iterated function system.
+and the iterated function system.  ``eval_exact`` closes f_a at a rational
+point, as ``antiderivative.eval_F_exact`` closes F.
 
 Refinement tables of f and of the antiderivative F share one type,
 ``BreakpointTable``: the level, the y-values as integer numerators over one
@@ -34,12 +35,14 @@ from .errors import (
     ResourceLimitError,
 )
 from .ternary import (
+    block_maps,
     check_index,
     check_unit_interval,
-    close_point,
+    close_triples,
     compose_triples,
     digit_stream,
     digit_triples,
+    read_point,
 )
 
 MAX_TABLE_LEVEL = 13
@@ -90,12 +93,6 @@ class BreakpointTable:
     def y_at(self, k: int) -> Fraction:
         """Exact value at breakpoint x = k/3**level."""
         return Fraction(self.y_numerators[k], self.y_denominator)
-
-    @property
-    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Exact (x, y) pairs, built on every access; renderers do not use it."""
-        xd, yd = 3**self.level, self.y_denominator
-        return tuple((Fraction(k, xd), Fraction(n, yd)) for k, n in enumerate(self.y_numerators))
 
     def __repr__(self) -> str:
         a = "F" if self.param is None else f"a={self.param.a}"
@@ -167,13 +164,18 @@ def ifs_refine(t: BreakpointTable) -> BreakpointTable:
 
 
 def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
-    """Exact value of the limit function at a rational point.
-
-    ``close_point``: the blocks of x's long division, closed under the
-    digit maps of ``param`` (``digit_triples``); the period composite
-    contracts, since its |slope| <= max(a, 1-a, |2a-1|) ** period_length < 1.
-    """
-    return close_point(x, param.a)
+    """Exact value of f_a at a rational x in [0, 1]: ``close_triples`` of the
+    ``block_maps`` of ``read_point``'s period and preperiod under the maps
+    ``digit_triples(param.a)``; the period composite contracts, since its
+    |slope| <= max(a, 1-a, |2a-1|) ** period_length < 1."""
+    pre, _, _, period = read_point(x)
+    maps = digit_triples(param.a)
+    leaves = block_maps(period, compose_triples, maps) if period else []
+    if period and period.halved:
+        # the leaves read half an antiperiodic period; its second half maps v -> 1 - v,
+        # since f(1 - t) = 1 - f(t) for every f_a
+        leaves.append((-1, 1, 1))
+    return close_triples(leaves, block_maps(pre, compose_triples, maps) if pre else [])
 
 
 def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:
@@ -278,7 +280,8 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
     inside the returned closed interval; the width shrinks like (2/3)**depth.
     The composite is an integer triple (s, b, 3**depth), as in ``eval_exact``.
     An envelope still wider than ``tol`` after MAX_APPROX_DEPTH digits raises
-    ``ResourceLimitError``: the cost grows as the square of the depth.
+    ``ResourceLimitError``.  Each digit multiplies only by small integers, so
+    the cost grows as depth times (depth + the bit length of ``tol``).
     """
     r = check_unit_interval(parse_decimal(text), "decimal input")
     if isinstance(tol, bool) or not isinstance(tol, (int, Fraction)):
@@ -287,9 +290,10 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     leaf = digit_triples(CLASSICAL.a)
     s, b, den = 1, 0, 1
+    wide, narrow = tol.denominator, tol.numerator
     digits = digit_stream(r)
     depth = 0
-    while abs(s) * tol.denominator > tol.numerator * den:  # |s/den| > tol
+    while wide > narrow:  # |s| tol.denominator > den tol.numerator: |s/den| > tol
         d = next(digits, None)
         if d is None:
             v = Fraction(b, den)  # terminating expansion: the tail is exactly 0
@@ -297,11 +301,12 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
         if depth == MAX_APPROX_DEPTH:
             raise ResourceLimitError(f"enclosure deeper than {MAX_APPROX_DEPTH} base-3 digits")
         s, b, den = compose_triples((s, b, den), leaf[d])
+        wide, narrow = wide * abs(leaf[d][0]), narrow * leaf[d][2]
         depth += 1
     lo, hi = Fraction(b, den), Fraction(s + b, den)
     return (lo, hi) if lo <= hi else (hi, lo)
 
 
 def classical_table(i: int) -> BreakpointTable:
-    """The level-i table of the classical function."""
+    """The level-i table of the classical function (no module calls it; perfbench traces it)."""
     return build_iterate(i)

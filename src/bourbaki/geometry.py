@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 from .errors import ConsistencyError, EmptyInputError
 from .antiderivative import build_F_iterate, iter_F_iterates
-from .function import BreakpointTable, classical_table
+from .function import BreakpointTable, build_iterate
 from .render import decimal_12
 from .ternary import check_digits, check_index
 
@@ -86,7 +86,7 @@ def box_count(i: int) -> BoxCountReport:
     column is exactly the integer span hi - lo (in grid units).
     """
     check_index(i, cap=MAX_BOX_LEVEL)
-    ynums = classical_table(i).y_numerators
+    ynums = build_iterate(i).y_numerators
     count = 0
     for k in range(len(ynums) - 1):
         span = ynums[k + 1] - ynums[k]
@@ -127,14 +127,6 @@ class CoverRectangle:
     x_hi: Fraction
     y_lo: Fraction
     y_hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(*_gap(self.x_lo, self.x_hi))
-
-    @property
-    def height(self) -> Fraction:
-        return Fraction(*_gap(self.y_lo, self.y_hi))
 
     @property
     def area(self) -> Fraction:
@@ -203,19 +195,9 @@ def interval_mass(digits) -> Fraction:
     return Fraction(2 ** (n - ds.count(1)), 5**n)
 
 
-@dataclass(frozen=True)
-class MassMeasure:
-    """All digit-path masses at one level."""
-
-    level: int
-    weights: dict[tuple[int, ...], Fraction]
-
-    def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
-
-
-def mass_measure(level: int) -> MassMeasure:
-    """Masses of all digit paths at one level: integer numerators over 5**level."""
+def mass_measure(level: int) -> dict[tuple[int, ...], Fraction]:
+    """The mass of every digit path at one level, keyed by path in
+    ``product(range(3), repeat=level)`` order: integer numerators over 5**level."""
     check_index(level, cap=MAX_MASS_LEVEL)
     paths: dict[tuple[int, ...], int] = {(): 1}
     for _ in range(level):
@@ -223,7 +205,7 @@ def mass_measure(level: int) -> MassMeasure:
             path + (d,): m * w for path, m in paths.items() for d, w in enumerate(_MASS_NUMERATORS)
         }
     den = 5**level
-    return MassMeasure(level, {path: Fraction(m, den) for path, m in paths.items()})
+    return {path: Fraction(m, den) for path, m in paths.items()}
 
 
 def _mass_classes(i: int) -> Iterator[tuple[int, Decimal, Decimal]]:
@@ -297,11 +279,6 @@ def _length_bounds(t: BreakpointTable) -> tuple[Decimal, Decimal, Decimal]:
     )
 
 
-def _polyline_length(t: BreakpointTable) -> Decimal:
-    """The value of ``_length_bounds`` once ``_certified`` passes it."""
-    return _certified(_length_bounds(t), f"arc length at level {t.level}")
-
-
 def arc_length(i: int) -> Decimal:
     """Length of the level-i antiderivative polyline to 50 significant digits.
 
@@ -319,6 +296,7 @@ def arc_length(i: int) -> Decimal:
 
 
 def arc_length_profile(max_level: int) -> Iterator[Decimal]:
-    """Arc lengths for levels 0 .. max_level, one per ``iter_F_iterates`` table."""
+    """Certified arc lengths for levels 0 .. max_level, one per ``iter_F_iterates`` table."""
     check_index(max_level, cap=MAX_ARC_LEVEL)
-    return (_polyline_length(t) for t in iter_F_iterates(max_level))
+    tables = iter_F_iterates(max_level)
+    return (_certified(_length_bounds(t), f"arc length at level {t.level}") for t in tables)

@@ -21,10 +21,8 @@ v -> (s v + b)/d, and reduces once, in the ``Fraction`` it returns:
   the period's composite, carried by the preperiod's into one ``Fraction``.
 * ``digit_triples`` -- the one statement of the digit maps of f_a, as
   integer triples (s_d, b_d, q) with f((d + t)/3) = (s_d f(t) + b_d)/q for
-  a = p/q; the antiderivative's digit maps are derived from them.
-* ``close_point`` -- f_a at a rational point, from ``read_point``'s blocks;
-  the second half of an antiperiodic period is the leaf v -> 1 - v, since
-  f(1 - t) = 1 - f(t) for every f_a.
+  a = p/q; f's closure (``function.eval_exact``) and the antiderivative's
+  digit maps are built from them.
 
 No floating point is used anywhere in this module.
 """
@@ -127,13 +125,6 @@ class TernaryExpansion:
                 raise DigitError("an all-2 tail is only canonical for the value 1")
         elif pre and pre[-1] == 0:
             raise DigitError("terminating expansion must not end in digit 0")
-
-    def digits(self) -> Iterator[int]:
-        """Preperiod digits, then the period repeated forever (stops if terminating)."""
-        yield from self.preperiod
-        if self.period:
-            while True:
-                yield from self.period
 
 
 def _split_threes(q: int) -> tuple[int, int]:
@@ -327,10 +318,6 @@ def affine_fixed_point(m: tuple[int, int, int]) -> tuple[int, int]:
     return b, d - s
 
 
-# v -> 1 - v, the map that t -> 1 - t induces on f_a(t) for every a: f(1 - t) = 1 - f(t)
-_COMPLEMENT_MAP = (-1, 1, 1)
-
-
 def digit_triples(a: Fraction) -> tuple[tuple[int, int, int], ...]:
     """The digit maps of f_a, a = p/q, as integer triples indexed by the digit.
 
@@ -404,19 +391,6 @@ def close_triples(period: list, pre: list, scale: int = 1) -> Fraction:
         s, b, d = compose_chain(pre, compose_triples)
         num, den = s * num + b * den, d * den
     return Fraction(num, scale * den)
-
-
-def close_point(x, a: Fraction) -> Fraction:
-    """f_a at a rational x in [0, 1]: ``close_triples`` of the ``block_maps``
-    of ``read_point``'s period and preperiod under the maps
-    ``digit_triples(a)``, with the leaf v -> 1 - v appended when the period
-    leaves cover the first half of an antiperiodic period."""
-    pre, _, _, period = read_point(x)
-    maps = digit_triples(a)
-    leaves = block_maps(period, compose_triples, maps) if period else []
-    if period and period.halved:
-        leaves.append(_COMPLEMENT_MAP)
-    return close_triples(leaves, block_maps(pre, compose_triples, maps) if pre else [])
 
 
 # base-3 digit values -> the ASCII digits that int(..., 3) reads

@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from typing import Callable
 
@@ -44,8 +45,8 @@ from .geometry import (
     box_count,
     cover_level,
     dimension_estimate,
+    interval_mass,
     mass_bound_check,
-    mass_measure,
 )
 from .prng import SplitMix64
 from .render import format_rational
@@ -230,7 +231,7 @@ def _suite_geometry(check: _Checker, rng: SplitMix64, samples: int) -> None:
         check.equal(
             f"total interval mass at level {i}",
             Fraction(1),
-            mass_measure(i).total(),
+            sum(interval_mass(p) for p in product(range(3), repeat=i)),
         )
         check.holds(f"mass bound at level {i}", mass_bound_check(i))
     # explicit 50-digit contexts: the caller's decimal context is never read

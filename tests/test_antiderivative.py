@@ -45,15 +45,12 @@ long_period_fractions = st.builds(
 
 class TestBuildFIterate:
     def test_level_zero(self):
-        assert build_F_iterate(0).breakpoints == ((F(0), F(0)), (F(1), F(1, 2)))
+        t = build_F_iterate(0)
+        assert [t.y_at(k) for k in range(len(t))] == [F(0), F(1, 2)]
 
     def test_level_one(self):
-        assert build_F_iterate(1).breakpoints == (
-            (F(0), F(0)),
-            (F(1, 3), F(1, 9)),
-            (F(2, 3), F(5, 18)),
-            (F(1), F(1, 2)),
-        )
+        t = build_F_iterate(1)
+        assert [t.y_at(k) for k in range(len(t))] == [F(0), F(1, 9), F(5, 18), F(1, 2)]
 
     def test_level_two_value_at_one_ninth(self):
         assert build_F_iterate(2).y_at(1) == F(2, 81)
@@ -91,9 +88,9 @@ class TestBuildFIterate:
 
     @pytest.mark.parametrize("i", [0, 1, 3])
     def test_y_at_matches_breakpoints(self, i):
-        for t in (build_iterate(i), build_F_iterate(i)):
-            assert [t.y_at(k) for k in range(len(t))] == [y for _, y in t.breakpoints]
-            assert [x for x, _ in t.breakpoints] == [F(k, 3**i) for k in range(len(t))]
+        # breakpoint k sits at x = k/3**i, where the table meets the exact value
+        for t, g in ((build_iterate(i), eval_exact), (build_F_iterate(i), eval_F_exact)):
+            assert [t.y_at(k) for k in range(len(t))] == [g(F(k, 3**i)) for k in range(len(t))]
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4, 5, 6])
     def test_values_nondecreasing(self, i):

@@ -324,6 +324,18 @@ class TestVerifyCommand:
         failures = run_verification("family", 42, 5).failures
         assert sum(f["input"].startswith("classical member") for f in failures) == 5
 
+    def test_geometry_suite_sees_a_wrong_interval_mass(self, monkeypatch):
+        # 2**(n + m) / 5**n in place of 2**(n - m) / 5**n, m the digit-1 steps:
+        # the level-i masses then sum to (8/5)**i
+        def wrong(path):
+            n = len(path)
+            return F(2 ** (n + path.count(1)), 5**n)
+
+        monkeypatch.setattr(verify, "interval_mass", wrong)
+        failures = run_verification("geometry", 42, 5).failures
+        expected = [f"total interval mass at level {i}" for i in range(1, 6)]
+        assert [f["input"] for f in failures] == expected
+
     def test_seed_range(self, capsys):
         assert run(["verify", "--suite", "geometry", "--seed", str(2**64)]) == 1
 

@@ -85,23 +85,18 @@ class TestFamilyParam:
 class TestBuildIterate:
     def test_level_zero_is_identity_segment(self):
         t = build_iterate(0)
-        assert t.breakpoints == ((F(0), F(0)), (F(1), F(1)))
+        assert [t.y_at(k) for k in range(len(t))] == [F(0), F(1)]
 
     def test_level_one_classical(self):
         t = build_iterate(1)
-        assert t.breakpoints == (
-            (F(0), F(0)),
-            (F(1, 3), F(2, 3)),
-            (F(2, 3), F(1, 3)),
-            (F(1), F(1)),
-        )
+        assert [t.y_at(k) for k in range(len(t))] == [F(0), F(2, 3), F(1, 3), F(1)]
 
     def test_level_two_value_at_one_ninth(self):
         assert build_iterate(2).y_at(1) == F(4, 9)
 
     def test_level_one_flat_family(self):
         t = build_iterate(1, HALF_PARAM)
-        assert [y for _, y in t.breakpoints] == [F(0), F(1, 2), F(1, 2), F(1)]
+        assert [t.y_at(k) for k in range(len(t))] == [F(0), F(1, 2), F(1, 2), F(1)]
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4, 5])
     def test_refinement_keeps_old_breakpoints(self, i):
@@ -160,7 +155,8 @@ class TestIFS:
 
     def test_refine_x_projection_is_grid(self):
         t = ifs_refine(build_iterate(2))
-        assert [x for x, _ in t.breakpoints] == [F(k, 27) for k in range(28)]
+        assert (t.level, len(t)) == (3, 28)
+        assert [t.y_at(k) for k in range(28)] == [eval_exact(F(k, 27)) for k in range(28)]
 
     @given(params, st.integers(0, 6))
     @settings(deadline=None, max_examples=40)
@@ -434,6 +430,16 @@ class TestApproxEval:
             approx_eval("0.1", F(1, 10**4403))
         elapsed = time.perf_counter() - start
         assert elapsed < 5, f"approx_eval took {elapsed:.2f} s to reach its depth cap"
+
+    def test_a_tolerance_past_the_cap_is_refused_within_budget(self):
+        # (2/3)**25001 needs 25,001 digits and has terms of 7,527 and 11,929 decimal
+        # digits; each digit grows the two sides of the stopping test by small factors
+        tol = F(2, 3) ** 25001
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            approx_eval("0.1", tol)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, f"approx_eval took {elapsed:.2f} s to refuse (2/3)**25001"
 
     @given(decimals(1, 6), tolerances)
     @settings(deadline=None, max_examples=60)

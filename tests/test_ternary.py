@@ -38,12 +38,9 @@ def floor_digits(x: Fraction, n: int) -> list[int]:
 
 
 def prefix(e: TernaryExpansion, n: int) -> list[int]:
-    out = []
-    for d in e.digits():
-        out.append(d)
-        if len(out) == n:
-            break
-    return out
+    """The first n digits of e: the preperiod, then the period repeated
+    (fewer when the expansion terminates sooner)."""
+    return list((e.preperiod + e.period * n)[:n])
 
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**4)
