@@ -41,7 +41,9 @@ from operator import add
 from typing import Iterator
 
 from .errors import ConsistencyError, OrderError, ParameterError
-from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
+from .function import (
+    CLASSICAL, MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates,
+)
 from .ternary import (
     Reading,
     block_maps,
@@ -83,7 +85,7 @@ def _digit_maps(a: Fraction) -> tuple[tuple[int, ...], ...]:
     return tuple(maps)
 
 
-_DIGIT_MAPS = _digit_maps(Fraction(2, 3))
+_DIGIT_MAPS = _digit_maps(CLASSICAL.a)
 
 
 def _compose_blocks(outer, inner):

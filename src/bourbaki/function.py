@@ -198,8 +198,8 @@ def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:
         dy = y1 - y0
         c1 = x0 + w / 3
         c2 = x0 + 2 * w / 3
-        v1 = y0 + Fraction(2, 3) * dy
-        v2 = y0 + Fraction(1, 3) * dy
+        v1 = y0 + CLASSICAL.a * dy
+        v2 = y0 + (1 - CLASSICAL.a) * dy
         if r <= c1:
             x1, y1 = c1, v1
         elif r <= c2:

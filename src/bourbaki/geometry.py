@@ -24,6 +24,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from operator import sub
 from typing import Iterator, Sequence
@@ -44,9 +45,6 @@ _ROOT_SCALE = 10 ** (2 * _PRECISION)  # isqrt(r * _ROOT_SCALE) is sqrt(r) scaled
 _DOWN = decimal.Context(prec=_PRECISION, rounding=decimal.ROUND_FLOOR)
 _UP = decimal.Context(prec=_PRECISION, rounding=decimal.ROUND_CEILING)
 _EVEN = decimal.Context(prec=_PRECISION, rounding=decimal.ROUND_HALF_EVEN)
-
-# Mass weights 2/5, 1/5, 2/5 of digits 0, 1, 2, as numerators over 5.
-_MASS_NUMERATORS = (2, 1, 2)
 
 
 def _outward(op: str, x: int | Decimal) -> tuple[Decimal, Decimal, Decimal]:
@@ -196,16 +194,10 @@ def interval_mass(digits) -> Fraction:
 
 
 def mass_measure(level: int) -> dict[tuple[int, ...], Fraction]:
-    """The mass of every digit path at one level, keyed by path in
-    ``product(range(3), repeat=level)`` order: integer numerators over 5**level."""
+    """The ``interval_mass`` of every digit path at one level, keyed by path
+    in ``product(range(3), repeat=level)`` order."""
     check_index(level, cap=MAX_MASS_LEVEL)
-    paths: dict[tuple[int, ...], int] = {(): 1}
-    for _ in range(level):
-        paths = {
-            path + (d,): m * w for path, m in paths.items() for d, w in enumerate(_MASS_NUMERATORS)
-        }
-    den = 5**level
-    return {path: Fraction(m, den) for path, m in paths.items()}
+    return {path: interval_mass(path) for path in product(range(3), repeat=level)}
 
 
 def _mass_classes(i: int) -> Iterator[tuple[int, Decimal, Decimal]]:

@@ -4,14 +4,14 @@ Every function here returns a string that depends only on its exact input,
 never on platform float behaviour, so repeated runs emit identical bytes.
 
 Tables are rendered straight from their integer y-numerators, the common
-y-denominator and the level (x = k/3**level), with no Fraction or Decimal
-per point.  SVG coordinates keep the rounding of the original Decimal
-renderer digit for digit: the exact value rounded half-even to 40
-significant digits, then half-even to 6 decimal places.  Every coordinate
-lies in [2, 898] by construction, so below a denominator of 10**31 the two
-roundings are one: each column of the plot is rounded in one batched
-integer pass and formatted in one C-level map, with no Python call per
-point.  Past 10**31 a point takes both roundings.
+y-denominator and the level (x = k/3**level).  SVG coordinates keep the
+rounding of the original Decimal renderer digit for digit: the exact value
+rounded half-even to 40 significant digits, then half-even to 6 decimal
+places.  Every coordinate lies in [2, 898] by construction, so below a
+denominator of 10**31 the two roundings are one: each column of the plot is
+rounded in one batched integer pass and formatted in one C-level map, with
+no Fraction, Decimal or Python call per point.  Past 10**31 each point's
+first rounding is ``Context(prec=40).divide`` itself.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def decimal_12(value) -> str:
     since significant digits are undefined for it.
     """
     if isinstance(value, Fraction):
-        d = _CTX.divide(Decimal(value.numerator), Decimal(value.denominator))
+        d = _CTX.divide(value.numerator, value.denominator)
     elif isinstance(value, Decimal):
         d = value
     else:
@@ -88,20 +88,6 @@ def csv_table(table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _div_half_even(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q & 1):
-        q += 1
-    return q
-
-
-def _forty_digits(num: int, den: int) -> int:
-    """num/den in [2, 898] rounded half-even to 40 significant digits, as
-    ``Context(prec=40).divide`` rounds it, over the denominator 10**39."""
-    places = _CTX.prec - len(str(num // den))
-    return _div_half_even(num * 10**places, den) * 10 ** (39 - places)
-
-
 def _micros(ns, den: int, start: int = 0, step: int = 1) -> list[int]:
     """10**6 (start + step n)/den rounded half-even, for every n of the column ns.
 
@@ -112,8 +98,8 @@ def _micros(ns, den: int, start: int = 0, step: int = 1) -> list[int]:
     when it is odd.  A range ns stays a range through the lift to
     2·10**6·m + den.
     """
-    if den >= _ONE_ROUNDING_DEN:  # 40 digits first; the rounding below is the second
-        ns = [_forty_digits(start + step * n, den) for n in ns]
+    if den >= _ONE_ROUNDING_DEN:  # 40 digits over 10**39 first; the rounding below is the second
+        ns = [int(_CTX.divide(start + step * n, den).scaleb(39, _CTX)) for n in ns]
         den, start, step = 10**39, 0, 1
     lift, two = 2 * _MICRO, 2 * den
     c0, c1 = lift * start + den, lift * step

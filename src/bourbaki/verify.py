@@ -4,6 +4,8 @@ Each suite replays a family of identities at arguments drawn from a seeded
 SplitMix64 stream, so a run is reproducible from its seed alone.  All
 checks are exact rational comparisons except the geometry suite, whose
 transcendental estimates are compared against 50-digit decimal targets.
+Each suite records its checks, one ``equal`` or ``holds`` call each, on the
+``VerifyReport`` that ``run_verification`` returns.
 
 Suite contents:
 
@@ -56,9 +58,9 @@ _MAX_DENOMINATOR = 10**4
 MAX_SAMPLES = 10_000
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifyReport:
-    """Outcome of one verification run.
+    """Outcome of one verification run, recorded check by check.
 
     Each failure records the offending input together with the expected
     and actual values, all rendered as exact strings.
@@ -73,48 +75,30 @@ class VerifyReport:
     def passed(self) -> bool:
         return not self.failures
 
+    def equal(self, input_desc: str, expected, actual) -> None:
+        self.cases += 1
+        if expected != actual:
+            self.failures.append(
+                {"input": input_desc, "expected": _render(expected), "actual": _render(actual)}
+            )
+
+    def holds(self, input_desc: str, condition: bool) -> None:
+        self.equal(input_desc, "true", "true" if condition else "false")
+
     def to_json(self) -> str:
         """Serialize for machine consumption.
 
         The timing field is deliberately omitted so that runs with equal
         seeds produce byte-identical output.
         """
-        payload = {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": self.failures,
-        }
+        payload = {"suite": self.suite, "cases": self.cases, "failures": self.failures}
         return json.dumps(payload, indent=2)
 
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, Fraction):
         return format_rational(value)
     return str(value)
-
-
-class _Checker:
-    __slots__ = ("cases", "failures")
-
-    def __init__(self):
-        self.cases = 0
-        self.failures: list[dict[str, str]] = []
-
-    def equal(self, input_desc: str, expected, actual) -> None:
-        self.cases += 1
-        if expected != actual:
-            self.failures.append(
-                {
-                    "input": input_desc,
-                    "expected": _render(expected),
-                    "actual": _render(actual),
-                }
-            )
-
-    def holds(self, input_desc: str, condition: bool) -> None:
-        self.equal(input_desc, True, bool(condition))
 
 
 def _random_x(rng: SplitMix64) -> Fraction:
@@ -125,7 +109,7 @@ def _random_level(rng: SplitMix64) -> int:
     return 1 + rng.next_below(5)
 
 
-def _suite_symmetry(check: _Checker, rng: SplitMix64, samples: int) -> None:
+def _suite_symmetry(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
     for _ in range(samples):
         x = _random_x(rng)
         check.equal(
@@ -141,7 +125,7 @@ def _suite_symmetry(check: _Checker, rng: SplitMix64, samples: int) -> None:
     check.equal("fixed point at x=1/2", Fraction(1, 2), eval_exact(Fraction(1, 2)))
 
 
-def _suite_scaling(check: _Checker, rng: SplitMix64, samples: int) -> None:
+def _suite_scaling(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
     for _ in range(samples):
         x = _random_x(rng)
         i = _random_level(rng)
@@ -178,7 +162,7 @@ def _suite_scaling(check: _Checker, rng: SplitMix64, samples: int) -> None:
                 )
 
 
-def _suite_integrals(check: _Checker, rng: SplitMix64, samples: int) -> None:
+def _suite_integrals(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
     fixed = [
         (Fraction(1), Fraction(1, 2)),
         (Fraction(1, 2), Fraction(1, 5)),
@@ -219,7 +203,7 @@ def _suite_integrals(check: _Checker, rng: SplitMix64, samples: int) -> None:
             check.equal(f"closed form {case} for F at i={i}", v, eval_F_exact(x))
 
 
-def _suite_geometry(check: _Checker, rng: SplitMix64, samples: int) -> None:
+def _suite_geometry(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
     for i in range(6):
         check.equal(f"box count at level {i}", 5**i, box_count(i).count)
         check.equal(
@@ -261,7 +245,7 @@ def _random_param(rng: SplitMix64) -> FamilyParam:
             return FamilyParam(a)
 
 
-def _suite_family(check: _Checker, rng: SplitMix64, samples: int) -> None:
+def _suite_family(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
     # over each level-8 column the classical graph lies between the column's end values
     cols, ynums = 3**8, build_iterate(8).y_numerators
     for _ in range(samples):
@@ -289,7 +273,7 @@ def _suite_family(check: _Checker, rng: SplitMix64, samples: int) -> None:
         )
 
 
-_SUITES: dict[str, Callable[[_Checker, SplitMix64, int], None]] = {
+_SUITES: dict[str, Callable[[VerifyReport, SplitMix64, int], None]] = {
     "symmetry": _suite_symmetry,
     "scaling": _suite_scaling,
     "integrals": _suite_integrals,
@@ -319,12 +303,12 @@ def run_verification(
         raise ParameterError(f"suite must be one of {names}, got {suite!r}")
     check_index(samples, "samples", 1, MAX_SAMPLES)
     rng = SplitMix64(seed)
-    checker = _Checker()
+    report = VerifyReport(suite, 0)
     start = time.perf_counter()
     if suite == "all":
         for run in _SUITES.values():
-            run(checker, rng, samples)
+            run(report, rng, samples)
     else:
-        _SUITES[suite](checker, rng, samples)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return VerifyReport(suite, checker.cases, checker.failures, elapsed_ms)
+        _SUITES[suite](report, rng, samples)
+    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return report

@@ -9,8 +9,10 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -333,8 +335,81 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(verify, "interval_mass", wrong)
         failures = run_verification("geometry", 42, 5).failures
-        expected = [f"total interval mass at level {i}" for i in range(1, 6)]
-        assert [f["input"] for f in failures] == expected
+        assert failures == [
+            {
+                "input": f"total interval mass at level {i}",
+                "expected": "1/1",
+                "actual": f"{8**i}/{5**i}",
+            }
+            for i in range(1, 6)
+        ]
+
+    def test_failure_record_of_a_holds_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "mass_bound_check", lambda i: False)
+        failures = run_verification("geometry", 42, 5).failures
+        assert failures == [
+            {"input": f"mass bound at level {i}", "expected": "true", "actual": "false"}
+            for i in range(6)
+        ]
+
+    def test_failure_record_of_an_int_check(self, monkeypatch):
+        # one box too many at every level also moves the dimension estimates apart
+        count = verify.box_count
+
+        def one_more(i):
+            r = count(i)
+            return geometry.BoxCountReport(r.level, r.delta, r.count + 1)
+
+        monkeypatch.setattr(verify, "box_count", one_more)
+        failures = run_verification("geometry", 42, 5).failures
+        assert failures == [
+            {"input": f"box count at level {i}", "expected": str(5**i), "actual": str(5**i + 1)}
+            for i in range(6)
+        ] + [
+            {
+                "input": "dimension estimates agree across levels",
+                "expected": "true",
+                "actual": "false",
+            }
+        ]
+
+    def test_dimension_check_is_strict_at_its_tolerance(self, monkeypatch):
+        # level-5 and level-3 estimates exactly 1e-45 apart do not agree
+        estimates = {5: Decimal(0), 3: Decimal("1e-45")}
+        monkeypatch.setattr(verify, "dimension_estimate", lambda rs: estimates[rs[0].level])
+        failures = run_verification("geometry", 42, 5).failures
+        assert [f["input"] for f in failures] == ["dimension estimates agree across levels"]
+
+    @pytest.mark.parametrize(
+        ("lengths", "failed"),
+        [
+            ("lower 1.4", []),
+            ("1.4 1.4", ["arc lengths strictly increasing"]),
+            ("1.2 1.5", ["arc lengths within [sqrt(5)/2, 3/2)"]),
+        ],
+        ids=["lower-end-included", "equal-neighbours", "upper-end-excluded"],
+    )
+    def test_arc_length_checks_at_their_boundaries(self, monkeypatch, lengths, failed):
+        lower = decimal.Context(prec=50, rounding=decimal.ROUND_FLOOR).divide(
+            isqrt(5 * 10**100), 2 * 10**50
+        )
+        values = [lower if v == "lower" else Decimal(v) for v in lengths.split()]
+        monkeypatch.setattr(verify, "arc_length_profile", lambda level: iter(values))
+        failures = run_verification("geometry", 42, 5).failures
+        assert [f["input"] for f in failures] == failed
+
+    @pytest.mark.parametrize(
+        "x", [F(1), F(1, 3**8)], ids=["last-column", "column-maximum"]
+    )
+    def test_family_column_check_at_column_ends(self, monkeypatch, x):
+        # x = 1 lies in the last column; f(1/3**8) = (2/3)**8 is the top of its column
+        monkeypatch.setattr(verify, "_random_x", lambda rng: x)
+        assert run_verification("family", 42, 5).failures == []
+
+    def test_elapsed_time_is_the_runs_own(self):
+        start = time.perf_counter()
+        report = run_verification("symmetry", 1, 1)
+        assert 0 <= report.elapsed_ms <= (time.perf_counter() - start) * 1000.0
 
     def test_seed_range(self, capsys):
         assert run(["verify", "--suite", "geometry", "--seed", str(2**64)]) == 1

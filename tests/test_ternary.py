@@ -174,6 +174,25 @@ class TestToTernary:
         with pytest.raises(ResourceLimitError):
             to_ternary(Fraction(1, 3 ** (ternary.MAX_PREPERIOD_DIGITS + 1)))
 
+    # the cap bounds the full period, also when the division stops at its half
+    @pytest.mark.parametrize(
+        ("q", "digits", "halved"),
+        [(1999891, 1999890, True), (3999971, 1999985, False)],
+        ids=["antiperiodic", "odd-period"],
+    )
+    def test_period_just_inside_the_real_cap(self, q, digits, halved):
+        assert digits <= ternary.MAX_PERIOD_DIGITS
+        period = ternary.read_point(Fraction(1, q))[3]
+        assert period.halved is halved
+        assert (6 * len(period.blocks) - 6 + period.last) << halved == digits
+
+    # 1/2000081: a half period of 1,000,040 digits, refused once read;
+    # 1/4000043: 2,000,021 digits, refused when the division passes the cap
+    @pytest.mark.parametrize("q", [2000081, 4000043], ids=["antiperiodic", "odd-period"])
+    def test_period_budget_at_the_real_cap(self, q):
+        with pytest.raises(ResourceLimitError):
+            ternary.read_point(Fraction(1, q))
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
             to_ternary(Fraction(3, 2))
