@@ -19,7 +19,6 @@ from .errors import (
     ConsistencyError,
     DigitError,
     DomainError,
-    EmptyInputError,
     OrderError,
     ParameterError,
     ParseError,
@@ -62,7 +61,6 @@ __all__ = [
     "ConsistencyError",
     "DigitError",
     "DomainError",
-    "EmptyInputError",
     "FamilyParam",
     "OrderError",
     "ParameterError",

@@ -26,13 +26,7 @@ from .function import (
     parse_decimal,
 )
 from .geometry import arc_length_profile, box_count, dimension_estimate, interval_mass
-from .render import (
-    csv_table,
-    decimal_12,
-    format_rational,
-    format_value,
-    svg_polyline,
-)
+from .render import csv_table, decimal_12, format_value, svg_polyline
 from .verify import available_suites, run_verification
 
 _RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
@@ -102,18 +96,19 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_boxdim(args) -> int:
-    reports = [box_count(i) for i in range(args.max_level + 1)]
-    estimate = decimal_12(dimension_estimate(reports))
+    # from level 0 even when --max-level is negative, which dimension_estimate refuses
+    counts = [box_count(i) for i in range(max(args.max_level, 0) + 1)]
+    estimate = decimal_12(dimension_estimate(args.max_level, counts[-1]))
     if args.format == "table":
         print("level delta count")
-        for r in reports:
-            print(f"{r.level} {format_rational(r.delta)} {r.count}")
+        for i, count in enumerate(counts):
+            print(f"{i} 1/{3**i} {count}")
         print(f"estimate {estimate}")
     else:
         payload = {
             "levels": [
-                {"level": r.level, "delta": format_rational(r.delta), "count": r.count}
-                for r in reports
+                {"level": i, "delta": f"1/{3**i}", "count": count}
+                for i, count in enumerate(counts)
             ],
             "estimate": estimate,
         }
@@ -142,7 +137,7 @@ def _cmd_verify(args) -> int:
         f"{len(report.failures)} failures ({report.elapsed_ms:.0f} ms)",
         file=sys.stderr,
     )
-    return 0 if report.passed else 2
+    return 2 if report.failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,10 +230,7 @@ def run(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
         return 2
-    except BourbakiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BourbakiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,10 +29,6 @@ class OrderError(BourbakiError, ValueError):
     """Interval endpoints supplied in the wrong order."""
 
 
-class EmptyInputError(BourbakiError, ValueError):
-    """A nonempty collection was required."""
-
-
 class ResourceLimitError(BourbakiError):
     """An index or count beyond its documented cap."""
 

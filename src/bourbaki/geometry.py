@@ -3,10 +3,10 @@
 Counts, covers and the integer root sums of arc lengths are exact; only final
 quotients, logarithms and powers pass through ``decimal`` at 50 digits, with
 directed rounding where an inequality or a printed digit must not rest on
-rounding error.  Decimal's ``ln``, ``exp`` and ``sqrt`` round half-even
-whatever the context's rounding, so ``_outward`` steps each of their results
-one unit outward unless it is exact: a half-even result lies within half a
-unit of the true value.
+rounding error.  Decimal's ``ln`` and ``exp`` round half-even whatever the
+context's rounding, so ``_outward`` steps each of their results one unit
+outward unless it is exact: a half-even result lies within half a unit of the
+true value.  Arc lengths take integer ``math.isqrt`` roots, not Decimal's.
 
 Grid convention for box counting: the unit square is cut into closed boxes of
 side 3**-i on the origin-anchored grid, and a box is counted when it meets
@@ -27,9 +27,9 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .errors import ConsistencyError, EmptyInputError
+from .errors import ConsistencyError
 from .antiderivative import build_F_iterate, iter_F_iterates
 from .function import BreakpointTable, build_iterate
 from .render import decimal_12
@@ -48,7 +48,7 @@ _EVEN = decimal.Context(prec=_PRECISION, rounding=decimal.ROUND_HALF_EVEN)
 
 
 def _outward(op: str, x: int | Decimal) -> tuple[Decimal, Decimal, Decimal]:
-    """(lo, value, hi) for the 50-digit ``ln``, ``sqrt`` or ``exp`` of x: value
+    """(lo, value, hi) for the 50-digit ``ln`` or ``exp`` of x: value
     rounded half-even, lo and hi one unit either side unless it is exact.
     ``Inexact`` is read from a fresh context, as a shared one keeps old flags."""
     ctx = decimal.Context(prec=_PRECISION)
@@ -67,14 +67,7 @@ def _certified(bounds: tuple[Decimal, Decimal, Decimal], what: str) -> Decimal:
     return value
 
 
-@dataclass(frozen=True)
-class BoxCountReport:
-    level: int
-    delta: Fraction
-    count: int
-
-
-def box_count(i: int) -> BoxCountReport:
+def box_count(i: int) -> int:
     """Number of side-3**-i grid boxes meeting the graph of the i-th iterate.
 
     Column by column: over x in [k/3**i, (k+1)/3**i] the iterate is a single
@@ -91,29 +84,29 @@ def box_count(i: int) -> BoxCountReport:
         if span == 0:
             raise ConsistencyError("degenerate flat segment in classical table")
         count += abs(span)
-    return BoxCountReport(i, Fraction(1, 3**i), count)
+    return count
 
 
-def _dimension_bounds(r: BoxCountReport) -> tuple[Decimal, Decimal, Decimal]:
+def _dimension_bounds(level: int, count: int) -> tuple[Decimal, Decimal, Decimal]:
     """(lo, value, hi) for log(count) / (level * log 3) at 50 digits: value
     rounded half-even, and lo <= estimate <= hi from the logarithms' outward
     bounds and the multiply and divide rounded outward."""
-    ln_count, ln_3 = _outward("ln", r.count), _outward("ln", 3)
+    ln_count, ln_3 = _outward("ln", count), _outward("ln", 3)
     return (
-        _DOWN.divide(ln_count[0], _UP.multiply(r.level, ln_3[2])),
-        _EVEN.divide(ln_count[1], _EVEN.multiply(r.level, ln_3[1])),
-        _UP.divide(ln_count[2], _DOWN.multiply(r.level, ln_3[0])),
+        _DOWN.divide(ln_count[0], _UP.multiply(level, ln_3[2])),
+        _EVEN.divide(ln_count[1], _EVEN.multiply(level, ln_3[1])),
+        _UP.divide(ln_count[2], _DOWN.multiply(level, ln_3[0])),
     )
 
 
-def dimension_estimate(reports: Sequence[BoxCountReport]) -> Decimal:
-    """log(count) / (level * log 3) for the deepest supplied report, rounded
-    half-even at 50 digits, once ``_certified`` passes ``_dimension_bounds``."""
-    usable = [r for r in reports if r.level >= 1]
-    if not usable:
-        raise EmptyInputError("need at least one report with level >= 1")
-    deepest = max(usable, key=lambda r: r.level)
-    return _certified(_dimension_bounds(deepest), "dimension estimate")
+def dimension_estimate(level: int, count: int) -> Decimal:
+    """log(count) / (level * log 3), the box dimension that ``count`` boxes of
+    side 3**-level give, rounded half-even at 50 digits once ``_certified``
+    passes ``_dimension_bounds``.  level and count are ints >= 1
+    (``ParameterError`` otherwise)."""
+    check_index(level, "level", 1)
+    check_index(count, "count", 1)
+    return _certified(_dimension_bounds(level, count), "dimension estimate")
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,6 @@ class VerifyReport:
     failures: list[dict[str, str]] = field(default_factory=list)
     elapsed_ms: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
     def equal(self, input_desc: str, expected, actual) -> None:
         self.cases += 1
         if expected != actual:
@@ -205,7 +201,7 @@ def _suite_integrals(check: VerifyReport, rng: SplitMix64, samples: int) -> None
 
 def _suite_geometry(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
     for i in range(6):
-        check.equal(f"box count at level {i}", 5**i, box_count(i).count)
+        check.equal(f"box count at level {i}", 5**i, box_count(i))
         check.equal(
             f"cover area at level {i}",
             Fraction(5, 9) ** i,
@@ -219,10 +215,10 @@ def _suite_geometry(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
         )
         check.holds(f"mass bound at level {i}", mass_bound_check(i))
     # explicit 50-digit contexts: the caller's decimal context is never read
-    target = dimension_estimate([box_count(5)])
+    target = dimension_estimate(5, box_count(5))
     check.holds(
         "dimension estimates agree across levels",
-        Context(prec=50).subtract(dimension_estimate([box_count(3)]), target).copy_abs()
+        Context(prec=50).subtract(dimension_estimate(3, box_count(3)), target).copy_abs()
         < Decimal("1e-45"),
     )
     lengths = list(arc_length_profile(6))

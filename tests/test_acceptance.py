@@ -139,9 +139,9 @@ def test_criterion_06_box_dimension_and_measure(capsys):
     with _criterion(6, capsys):
         start = time.perf_counter()
         for i in range(8):
-            assert box_count(i).count == 5**i, i
+            assert box_count(i) == 5**i, i
         for i in range(1, 8):
-            assert abs(dimension_estimate([box_count(i)]) - LOG3_5) < TWELVE_DECIMALS
+            assert abs(dimension_estimate(i, box_count(i)) - LOG3_5) < TWELVE_DECIMALS
         for i in range(11):
             assert sum(r.area for r in cover_level(i)) == F(5, 9) ** i, i
         for i in range(9):

@@ -225,6 +225,15 @@ class TestGeometryCommands:
 
     def test_boxdim_requires_refined_level(self, capsys):
         assert run(["boxdim", "--max-level", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: level must be an integer >= 1, got 0\n"
+
+    def test_boxdim_refuses_a_negative_level(self, capsys):
+        assert run(["boxdim", "--max-level", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: level must be an integer >= 1, got -1\n"
 
     def test_arclength_lines(self, capsys):
         assert run(["arclength", "--max-level", "1"]) == 0
@@ -266,8 +275,8 @@ class TestGeometryCommands:
         # an upper bound 10**-6 too high: the bounds print different 12 digits
         bounds = geometry._dimension_bounds
 
-        def widened(report):
-            lo, value, hi = bounds(report)
+        def widened(level, count):
+            lo, value, hi = bounds(level, count)
             return lo, value, hi + Decimal("1e-6")
 
         monkeypatch.setattr(geometry, "_dimension_bounds", widened)
@@ -357,8 +366,7 @@ class TestVerifyCommand:
         count = verify.box_count
 
         def one_more(i):
-            r = count(i)
-            return geometry.BoxCountReport(r.level, r.delta, r.count + 1)
+            return count(i) + 1
 
         monkeypatch.setattr(verify, "box_count", one_more)
         failures = run_verification("geometry", 42, 5).failures
@@ -376,7 +384,7 @@ class TestVerifyCommand:
     def test_dimension_check_is_strict_at_its_tolerance(self, monkeypatch):
         # level-5 and level-3 estimates exactly 1e-45 apart do not agree
         estimates = {5: Decimal(0), 3: Decimal("1e-45")}
-        monkeypatch.setattr(verify, "dimension_estimate", lambda rs: estimates[rs[0].level])
+        monkeypatch.setattr(verify, "dimension_estimate", lambda level, count: estimates[level])
         failures = run_verification("geometry", 42, 5).failures
         assert [f["input"] for f in failures] == ["dimension estimates agree across levels"]
 

@@ -16,17 +16,11 @@ from math import isqrt
 
 import pytest
 
-from bourbaki.errors import (
-    DigitError,
-    EmptyInputError,
-    ParameterError,
-    ResourceLimitError,
-)
+from bourbaki.errors import DigitError, ParameterError, ResourceLimitError
 from bourbaki import geometry
 from bourbaki.antiderivative import iter_F_iterates
 from bourbaki.function import BreakpointTable, build_iterate
 from bourbaki.geometry import (
-    BoxCountReport,
     CoverRectangle,
     arc_length,
     arc_length_profile,
@@ -90,11 +84,10 @@ class TestOutward:
     # right end: every lower bound it feeds goes down and every upper bound up.
     @pytest.mark.parametrize("i", range(1, 11))
     def test_dimension_bounds_take_the_outer_ends(self, monkeypatch, i):
-        report = BoxCountReport(i, F(1, 3**i), 5**i)
-        lo, _, hi = geometry._dimension_bounds(report)
+        lo, _, hi = geometry._dimension_bounds(i, 5**i)
         for n in (None, 0, 1):  # every call, ln(count), ln 3
             _widen_call(monkeypatch, n)
-            wide_lo, _, wide_hi = geometry._dimension_bounds(report)
+            wide_lo, _, wide_hi = geometry._dimension_bounds(i, 5**i)
             assert wide_lo < lo and hi < wide_hi, n
 
     @pytest.mark.parametrize("i", range(9))
@@ -109,18 +102,16 @@ class TestOutward:
 class TestBoxCount:
     @pytest.mark.parametrize("i,expected", [(0, 1), (1, 5), (2, 25)])
     def test_hand_counts(self, i, expected):
-        r = box_count(i)
-        assert r.count == expected
-        assert r.delta == F(1, 3**i)
-        assert r.level == i
+        count = box_count(i)
+        assert type(count) is int and count == expected
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4, 5, 6])
     def test_power_law(self, i):
-        assert box_count(i).count == 5**i
+        assert box_count(i) == 5**i
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4])
     def test_recurrence(self, i):
-        assert box_count(i + 1).count == 5 * box_count(i).count
+        assert box_count(i + 1) == 5 * box_count(i)
 
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -133,44 +124,46 @@ class TestDimensionEstimate:
     def test_matches_log3_of_5(self):
         target = CTX.divide(CTX.ln(Decimal(5)), CTX.ln(Decimal(3)))
         for i in range(1, 8):
-            est = dimension_estimate([box_count(i)])
+            est = dimension_estimate(i, box_count(i))
             assert abs(est - target) < Decimal("1e-45")
 
-    def test_uses_deepest_report(self):
-        fake = BoxCountReport(2, F(1, 9), 17)
-        deep = box_count(5)
-        est = dimension_estimate([fake, deep])
-        assert est == dimension_estimate([deep])
-
     def test_requires_positive_level(self):
-        with pytest.raises(EmptyInputError):
-            dimension_estimate([box_count(0)])
-        with pytest.raises(EmptyInputError):
-            dimension_estimate([])
+        with pytest.raises(ParameterError, match="level"):
+            dimension_estimate(0, box_count(0))
+
+    # at the list-taking API, count 0 raised decimal.InvalidOperation, 2.5 a
+    # TypeError, and a count of True returned 0E+49
+    @pytest.mark.parametrize(
+        "level,count,what",
+        [(0, 1, "level"), (1, 0, "count"), (1, -5, "count"), (1, 2.5, "count"),
+         (True, 5, "level"), (1, True, "count")],
+    )
+    def test_refuses_non_positive_or_non_int(self, level, count, what):
+        with pytest.raises(ParameterError, match=what):
+            dimension_estimate(level, count)
 
     @pytest.mark.parametrize("i", range(1, 11))
     def test_bounds_enclose_a_120_digit_reference(self, i):
-        report = BoxCountReport(i, F(1, 3**i), 5**i)
         ref = REF.divide(REF.ln(Decimal(5**i)), REF.multiply(Decimal(i), REF.ln(Decimal(3))))
-        lo, value, hi = geometry._dimension_bounds(report)
+        lo, value, hi = geometry._dimension_bounds(i, 5**i)
         assert lo <= ref <= hi
         assert REF.subtract(hi, lo) < Decimal("1e-48")
-        assert dimension_estimate([report]) == value
+        assert dimension_estimate(i, 5**i) == value
 
     def test_approximate_float_value(self):
-        assert float(dimension_estimate([box_count(4)])) == pytest.approx(
+        assert float(dimension_estimate(4, box_count(4))) == pytest.approx(
             1.464973520717927, abs=1e-12
         )
 
     def test_pinned_50_digit_values(self):
         head = "1.464973520717927167197040407678640396307932366666"
-        values = [str(dimension_estimate([box_count(i)])) for i in range(1, 11)]
+        values = [str(dimension_estimate(i, box_count(i))) for i in range(1, 11)]
         assert values == [head + last for last in "1111112121"]
 
     def test_count_one_is_exactly_zero_in_any_call_order(self):
         # ln 1 is exact, so its bounds are not stepped, even after inexact logarithms
-        dimension_estimate([box_count(3)])
-        assert dimension_estimate([BoxCountReport(1, F(1, 3), 1)]) == 0
+        dimension_estimate(3, box_count(3))
+        assert dimension_estimate(1, 1) == 0
 
 
 class TestCoverLevel:

@@ -9,6 +9,10 @@
 * The benchmark harness traces the functions that ``perfbench/spans.py``
   names in ``TRACED``, by layer: each must stay a callable of its module.
   ``TRACED`` is read from that file with ``ast``, without importing it.
+* No dead names: every module-level def, class and assigned name (dunders
+  exempt) is read somewhere in the package outside ``__init__.py`` (a name
+  load, an attribute or a ``from`` import), is public in ``bourbaki.__all__``,
+  or is traced for its layer.
 """
 
 import ast
@@ -16,6 +20,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import bourbaki
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bourbaki"
@@ -81,3 +87,38 @@ def test_traced_names_are_bound(layer):
     module = importlib.import_module(f"bourbaki.{layer}")
     unbound = [n for n in TRACED[layer] if not callable(getattr(module, n, None))]
     assert not unbound, f"bourbaki.{layer} has no callable {unbound}"
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def _referenced() -> set[str]:
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+    return names
+
+
+REFERENCED = _referenced()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    kept = REFERENCED | set(bourbaki.__all__) | set(TRACED.get(path.stem, ()))
+    dead = sorted(_defined(tree) - kept)
+    assert not dead, f"{path.name} defines names nothing reads: {dead}"
