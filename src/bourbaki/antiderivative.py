@@ -1,17 +1,23 @@
 """The antiderivative F(x) = integral of the classical function over [0, x].
 
-F inherits a self-similar structure from f.  With (s_d, b_d, q) the digit
-triples of f (``digit_triples``), f((d + t)/3) = (s_d f(t) + b_d)/q, and
-integrating over t gives, for a point with leading base-3 digit d and tail t:
+Breakpoint tables: refinement never moves a breakpoint, so over column N of
+the level-n grid the graph of f is the affine image
+y = y[N] + (y[N+1] - y[N]) f(t) of the whole graph, and f(x) + f(1 - x) = 1
+makes the integral of f over [0, 1] equal 1/2.  So F gains exactly
+(y[N] + y[N+1]) / (2 * 3**n) across the column: the trapezoid rule on f's
+level-n table is exact for F on the level-n grid (``_integrate``).  F tables
+are ``BreakpointTable``s with numerators over 2 * 9**n and ``param`` None.
 
-    F((d + t)/3) = F(d/3) + (s_d F(t) + b_d t)/(3q)
+The same columns give F's self-similar structure.  With P = 3**n, y over
+K = 3**n (q**n for f_a, a = p/q), G = 2 F and F's level-n table Y over
+2 P K, integrating
+f((N + t)/P) = (y[N] + (y[N+1] - y[N]) f(t))/K over t gives
 
-where 6q F(d/3) = c_d sums s_e + 2 b_e over the digits e < d, since f
-integrates to 1/2 over [0, 1].  With G = 2 F, a block of n digits read as
-the base-3 integer N then has integer constants (S, Y, V, D, N, P, K),
-one digit being (s_d, c_d, 2 b_d, 3q, d, 3, q) (``_compose_blocks``):
+    G((N + t)/P) = (S G(t) + Y + V t)/D,    D = P K
 
-    G((N + t)/P) = (S G(t) + Y + V t)/D,    P = 3**n, K = q**n, D = P K
+for the n-digit block of base-3 value N, whose integer constants
+(S, Y, V, D, N, P, K) are (y[N+1] - y[N], Y[N], 2 y[N], P K, N, P, K)
+(``_rows``, levels 0 to 6); ``_compose_blocks`` composes them.
 
 Over a period every tail is rho/q', rho the long-division remainder, and
 a block read from rho leaves rho' = P rho - q' N, so on v = q' G it is the
@@ -24,26 +30,18 @@ after the first half is 1 - t*, and F(1 - t) = F(t) + 1/2 - t appends the
 leaf v -> v + q' - 2 rho for the second half.  ``close_triples`` gives
 2 q' F(t*), carried to 2 q' F(x) by the preperiod's chain read at rho, in
 one reduction, the final Fraction.
-
-Breakpoint tables: over column k of the level-i grid the graph of f is the
-affine image y = y_k + (y_{k+1} - y_k) f(t) of the whole graph, and
-f(x) + f(1 - x) = 1 makes the integral of f over [0, 1] equal 1/2.  So F
-gains exactly (y_k + y_{k+1}) / (2 * 3**i) across the column: the trapezoid
-rule on f's level-i table is exact for F on the level-i grid.  F tables are
-``BreakpointTable``s with numerators over 2 * 9**i and ``param`` None.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from operator import add
+from functools import cache
+from itertools import accumulate, count, repeat
+from operator import add, sub
 from typing import Iterator
 
 from .errors import ConsistencyError, OrderError, ParameterError
-from .function import (
-    CLASSICAL, MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates,
-)
+from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
 from .ternary import (
     Reading,
     block_maps,
@@ -51,7 +49,6 @@ from .ternary import (
     check_unit_interval,
     close_triples,
     compose_chain,
-    digit_triples,
     read_point,
 )
 
@@ -74,18 +71,19 @@ def build_F_iterate(i: int) -> BreakpointTable:
     return _integrate(build_iterate(i))
 
 
-def _digit_maps(a: Fraction) -> tuple[tuple[int, ...], ...]:
-    """F's maps of digits 0, 1 and 2 as one-digit block constants
-    (S, Y, V, D, N, P, K) = (s_d, c_d, 2 b_d, 3q, d, 3, q), from the digit
-    triples (s_d, b_d, q) of f_a; c_d = 6q F(d/3) sums s_e + 2 b_e over e < d."""
-    maps, c = [], 0
-    for d, (s, b, q) in enumerate(digit_triples(a)):
-        maps.append((s, c, 2 * b, 3 * q, d, 3, q))
-        c += s + 2 * b
-    return tuple(maps)
-
-
-_DIGIT_MAPS = _digit_maps(CLASSICAL.a)
+@cache
+def _rows() -> tuple:
+    """rows[n][N], n = 0 .. 6: the constants (y[N+1] - y[N], Y[N], 2 y[N], P K,
+    N, P, K) of the n-digit block of base-3 value N, read off column N of f's
+    level-n table y, over K, and of its ``_integrate`` table Y, with P = 3**n."""
+    rows = []
+    for t in iter_iterates(6):
+        y, p, k = t.y_numerators, 3**t.level, t.y_denominator
+        rows.append(tuple(zip(
+            map(sub, y[1:], y), _integrate(t).y_numerators, map(add, y, y),
+            repeat(p * k), count(), repeat(p), repeat(k),
+        )))
+    return tuple(rows)
 
 
 def _compose_blocks(outer, inner):
@@ -104,7 +102,7 @@ def _period_leaves(period: Reading, rho: int, q_free: int) -> list:
     at the division's remainder rho' where that block ends, then the
     translation leaf of an antiperiodic period's second half."""
     rems, halved = period.rems, period.halved
-    consts = block_maps(period, _compose_blocks, _DIGIT_MAPS)
+    consts = block_maps(period, _rows())
     end = q_free - rho if halved else rho
     _, _, _, _, n, p, _ = consts[-1]
     if (rems[-1] if rems else rho) * p - q_free * n != end:
@@ -131,7 +129,7 @@ def eval_F_exact(x) -> Fraction:
     leaves = _period_leaves(period, rho, q_free) if period else []
     pre_maps = []
     if pre:
-        chain = block_maps(pre, _compose_blocks, _DIGIT_MAPS)
+        chain = block_maps(pre, _rows())
         s, y, v, d, n, _, _ = compose_chain(chain, _compose_blocks)
         if x.numerator - n * q_free != rho:
             raise ConsistencyError("the preperiod walk does not end at x")

@@ -11,9 +11,10 @@ a = 2/3):
 Equivalently, prepending a base-3 digit to a point transforms the value by an
 affine map, and the graph of the classical function is the attractor of three
 plane affine maps.  Those three descriptions are implemented side by side and
-cross-checked: refinement tables, digit maps with exact periodic-tail closure,
-and the iterated function system.  ``eval_exact`` closes f_a at a rational
-point, as ``antiderivative.eval_F_exact`` closes F.
+cross-checked: refinement tables, digit maps and the iterated function system.
+``eval_exact`` closes f_a at a rational point from the composite digit maps of
+blocks of up to six digits, read off the columns of the tables (``_rows``), as
+``antiderivative.eval_F_exact`` closes F.
 
 Refinement tables of f and of the antiderivative F share one type,
 ``BreakpointTable``: the level, the y-values as integer numerators over one
@@ -25,6 +26,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from operator import sub
 import re
 from typing import Iterator
 
@@ -163,19 +167,32 @@ def ifs_refine(t: BreakpointTable) -> BreakpointTable:
     return BreakpointTable(t.level + 1, merged, a.denominator * yden, t.param)
 
 
+@lru_cache(maxsize=4)
+def _rows(param: FamilyParam) -> tuple:
+    """rows[n][N], n = 0 .. 6: the composite (y[N+1] - y[N], y[N], q**n) of the
+    digit maps of the n-digit block of value N, read off column N of the level-n
+    table y: refinement never moves a breakpoint, so over that column f_a is
+    y[N] + (y[N+1] - y[N]) f(t) over q**n.  Cached for the last four parameters."""
+    rows = []
+    for t in iter_iterates(6, param):
+        y = t.y_numerators
+        rows.append(tuple(zip(map(sub, y[1:], y), y, repeat(t.y_denominator))))
+    return tuple(rows)
+
+
 def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
     """Exact value of f_a at a rational x in [0, 1]: ``close_triples`` of the
-    ``block_maps`` of ``read_point``'s period and preperiod under the maps
-    ``digit_triples(param.a)``; the period composite contracts, since its
-    |slope| <= max(a, 1-a, |2a-1|) ** period_length < 1."""
+    ``block_maps`` of ``read_point``'s period and preperiod in f_a's ``_rows``;
+    the period composite contracts, since its |slope| is at most
+    max(a, 1 - a, |2a - 1|) ** period_length < 1."""
     pre, _, _, period = read_point(x)
-    maps = digit_triples(param.a)
-    leaves = block_maps(period, compose_triples, maps) if period else []
+    rows = _rows(param)
+    leaves = block_maps(period, rows) if period else []
     if period and period.halved:
         # the leaves read half an antiperiodic period; its second half maps v -> 1 - v,
         # since f(1 - t) = 1 - f(t) for every f_a
         leaves.append((-1, 1, 1))
-    return close_triples(leaves, block_maps(pre, compose_triples, maps) if pre else [])
+    return close_triples(leaves, block_maps(pre, rows) if pre else [])
 
 
 def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:

@@ -13,16 +13,16 @@ v -> (s v + b)/d, and reduces once, in the ``Fraction`` it returns:
   ``bytes`` digits (``check_digits`` is the one test of a digit);
   ``to_ternary`` joins it from ``read_point``, and no closure of a point
   builds one.  ``from_ternary`` values it by place value.
-* ``block_maps`` -- each block's composite of digit maps, for any
-  associative ``compose``, from one table per digit algebra indexed by
-  block value.
+* ``block_maps`` -- each block's composite, looked up by its length and
+  base-3 value in rows that the caller reads off its construction tables
+  (``function.eval_exact``, ``antiderivative.eval_F_exact``).
 * ``compose_chain`` -- the one product tree for every chain of block maps.
 * ``close_triples`` -- the one closing step: the ``affine_fixed_point`` of
   the period's composite, carried by the preperiod's into one ``Fraction``.
 * ``digit_triples`` -- the one statement of the digit maps of f_a, as
   integer triples (s_d, b_d, q) with f((d + t)/3) = (s_d f(t) + b_d)/q for
-  a = p/q; f's closure (``function.eval_exact``) and the antiderivative's
-  digit maps are built from them.
+  a = p/q; ``function.ifs_refine`` and ``function.approx_eval`` fold them,
+  and the tests fold them against the closures' block composites.
 
 No floating point is used anywhere in this module.
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -337,40 +336,12 @@ def compose_triples(outer, inner):
     return (so * si, so * bi + bo * di, do * di)
 
 
-class _Row(dict):
-    """The composites of the n-digit blocks of one digit algebra, keyed by the
-    block's base-3 value and built on first use: a block is ``compose`` of
-    its high and low parts, looked up in the rows of their lengths."""
-
-    def __init__(self, compose: Callable, high, low, split: int) -> None:
-        self.compose, self.high, self.low, self.split = compose, high, low, split
-
-    def __missing__(self, value: int):
-        hi, lo = divmod(value, self.split)
-        m = self[value] = self.compose(self.high[hi], self.low[lo])
-        return m
-
-
-@lru_cache(maxsize=4)
-def _block_table(compose: Callable, leaves: tuple) -> tuple:
-    """rows[n][v], n = 1 .. 6: the composite leaves[w[0]] o ... o leaves[w[-1]]
-    of the n-digit block w of base-3 value v.  Row 1 is ``leaves``; the
-    six-digit row joins three-digit halves, and the shorter rows serve the
-    last block of a ``Reading``.  The cache keeps the tables of
-    the last few algebras, each of at most 3 + 9 + ... + 729 = 1,092 entries."""
-    rows = [None, leaves]
-    for n in range(2, 7):
-        h = n // 2
-        rows.append(_Row(compose, rows[h], rows[n - h], 3 ** (n - h)))
-    return tuple(rows)
-
-
-def block_maps(reading: Reading, compose: Callable, leaves: tuple) -> list:
-    """The composite leaves[w[0]] o ... o leaves[w[-1]] of each block w of a
-    ``Reading`` in order, from the table of (compose, leaves): six digits
-    per block, and the last block's ``last`` leading digits.  Their
-    ``compose_chain`` is the composite of the whole run."""
-    rows = _block_table(compose, leaves)
+def block_maps(reading: Reading, rows: Sequence) -> list:
+    """The composite of each block of a ``Reading`` in order, looked up in
+    ``rows``, where rows[n][v] is the composite of the n-digit block of
+    base-3 value v: six digits per block, and the last block's ``last``
+    leading digits.  Their ``compose_chain`` is the composite of the whole
+    run."""
     blocks, last = reading.blocks, reading.last
     maps = list(map(rows[6].__getitem__, blocks[:-1]))
     maps.append(rows[last][blocks[-1] // 3 ** (6 - last)])

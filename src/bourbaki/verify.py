@@ -20,7 +20,8 @@ Suite contents:
                  monotonicity at small levels.
 * ``family``     symmetry and left scaling for random parameters a, plus
                  the a = 2/3 member inside its column of the classical
-                 level-8 table, which refinement builds without digit maps.
+                 level-8 table, two levels past the level-6 table of that
+                 same refinement whose columns the closure reads.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class VerifyReport:
 def _render(value) -> str:
     if isinstance(value, Fraction):
         return format_rational(value)
+    if isinstance(value, tuple):  # a closed form's (x, value)
+        return f"({', '.join(map(_render, value))})"
     return str(value)
 
 
@@ -119,6 +122,13 @@ def _suite_symmetry(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
             eval_F_exact(1 - x) - eval_F_exact(x),
         )
     check.equal("fixed point at x=1/2", Fraction(1, 2), eval_exact(Fraction(1, 2)))
+
+
+def _closed_form_points(i: int) -> dict[str, Fraction]:
+    """The documented point of each closed-form case i to iv at index i, for f and F."""
+    p = 3**i
+    return {"i": Fraction(1, p + 1), "ii": Fraction(1, p - 1),
+            "iii": Fraction(2, p + 1), "iv": Fraction(2, p - 1)}
 
 
 def _suite_scaling(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
@@ -147,14 +157,14 @@ def _suite_scaling(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
             from_ternary(to_ternary(x)),
         )
     for i in range(1, 7):
-        for case in ("i", "ii", "iii", "iv"):
+        for case, point in _closed_form_points(i).items():
             x, v = closed_form_value(case, i)
-            check.equal(f"closed form {case} for f at i={i}", v, eval_exact(x))
+            check.equal(f"closed form {case} for f at i={i}", (point, v), (x, eval_exact(x)))
         for j in range(i + 1, i + 4):
-            for case in ("v", "vi"):
+            for case, point in (("v", Fraction(1, 3**j + 3**i)), ("vi", Fraction(1, 3**j - 3**i))):
                 x, v = closed_form_value(case, i, j)
                 check.equal(
-                    f"closed form {case} for f at i={i}, j={j}", v, eval_exact(x)
+                    f"closed form {case} for f at i={i}, j={j}", (point, v), (x, eval_exact(x))
                 )
 
 
@@ -194,9 +204,9 @@ def _suite_integrals(check: VerifyReport, rng: SplitMix64, samples: int) -> None
             eval_F_exact((2 + x) / 3**i) - eval_F_exact(Fraction(2, 3**i)),
         )
     for i in range(1, 7):
-        for case in ("i", "ii", "iii", "iv"):
+        for case, point in _closed_form_points(i).items():
             x, v = integral_closed_form(case, i)
-            check.equal(f"closed form {case} for F at i={i}", v, eval_F_exact(x))
+            check.equal(f"closed form {case} for F at i={i}", (point, v), (x, eval_F_exact(x)))
 
 
 def _suite_geometry(check: VerifyReport, rng: SplitMix64, samples: int) -> None:

@@ -9,6 +9,8 @@ same values at every shared grid point.
 """
 
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 import math
 
 import pytest
@@ -179,14 +181,23 @@ class TestEvalFExact:
         expected = F(2 ** (i - 1), 9**i) * x + F(2, 9) ** i * eval_F_exact(x)
         assert eval_F_exact((2 + x) / 3**i) - eval_F_exact(F(2, 3**i)) == expected
 
-    def test_digit_maps_are_derived_from_the_digit_triples(self):
+    def test_rows_fold_the_hand_read_digit_maps(self):
         # (S, Y, V, D, N, P, K) with G(x) = (S G(t) + Y + V t)/D for x = (N + t)/P,
         # G = 2 F, read by hand off F's scaling identities at a = 2/3:
         #   F(t/3) = (2/9) F(t)                   G(x) = (2 G(t))/9
         #   F((1 + t)/3) = 1/9 + (2 t - F(t))/9   G(x) = (-G(t) + 2 + 4 t)/9
         #   F((2 + t)/3) = 5/18 + (t + 2 F(t))/9  G(x) = (2 G(t) + 5 + 2 t)/9
         maps = ((2, 0, 0, 9, 0, 3, 3), (-1, 2, 4, 9, 1, 3, 3), (2, 5, 2, 9, 2, 3, 3))
-        assert antiderivative._DIGIT_MAPS == maps
+        rows = antiderivative._rows()
+        assert rows[1] == maps
+        # every row, the empty block (1, 0, 0, 1, 0, 1, 1) of row 0 included, is
+        # the unreduced fold of the hand-read maps over its blocks' digits
+        for n, row in enumerate(rows):
+            folds = [
+                reduce(antiderivative._compose_blocks, [maps[d] for d in w], (1, 0, 0, 1, 0, 1, 1))
+                for w in product(range(3), repeat=n)
+            ]
+            assert list(row) == folds
 
     @pytest.mark.parametrize(
         "x,message",
@@ -197,9 +208,12 @@ class TestEvalFExact:
         ],
     )
     def test_corrupted_t_row_is_caught(self, monkeypatch, x, message):
-        # Digit 1 reads as N = 1, so the tail after it is 3 x - 1; shift its N to 2.
-        zero, _, two = antiderivative._DIGIT_MAPS
-        monkeypatch.setattr(antiderivative, "_DIGIT_MAPS", (zero, (-1, 2, 4, 9, 2, 3, 3), two))
+        # every block of value N reads as N + 1, so the walk misses its tail by q'
+        rows = tuple(
+            tuple((s, y, v, d, n + 1, p, k) for s, y, v, d, n, p, k in row)
+            for row in antiderivative._rows()
+        )
+        monkeypatch.setattr(antiderivative, "_rows", lambda: rows)
         with pytest.raises(ConsistencyError, match=message):
             eval_F_exact(x)
 

@@ -335,6 +335,26 @@ class TestVerifyCommand:
         failures = run_verification("family", 42, 5).failures
         assert sum(f["input"].startswith("classical member") for f in failures) == 5
 
+    def test_closed_form_checks_see_a_wrong_case(self, monkeypatch):
+        # a swapped case returns a true (x, value) pair, but not at its case's point
+        swap = {"i": "ii", "ii": "i", "v": "vi", "vi": "v"}
+        f_form, F_form = verify.closed_form_value, verify.integral_closed_form
+        monkeypatch.setattr(
+            verify, "closed_form_value", lambda case, i, j=None: f_form(swap.get(case, case), i, j)
+        )
+        monkeypatch.setattr(
+            verify, "integral_closed_form", lambda case, i: F_form(swap.get(case, case), i)
+        )
+        failures = run_verification("scaling", 42, 1).failures
+        assert len(failures) == 6 * (2 + 3 * 2)
+        assert failures[0] == {
+            "input": "closed form i for f at i=1", "expected": "(1/4, 1/2)", "actual": "(1/2, 1/2)"
+        }
+        failures = run_verification("integrals", 42, 1).failures
+        assert [f["input"] for f in failures] == [
+            f"closed form {case} for F at i={i}" for i in range(1, 7) for case in ("i", "ii")
+        ]
+
     def test_geometry_suite_sees_a_wrong_interval_mass(self, monkeypatch):
         # 2**(n + m) / 5**n in place of 2**(n - m) / 5**n, m the digit-1 steps:
         # the level-i masses then sum to (8/5)**i

@@ -186,9 +186,8 @@ class TestRoutesAgree:
         value = eval_F_exact(x)
         assert eval_F_exact(1 - x) - value == F(1, 2) - x
         assert _in_F_table_enclosure(x, value)
-        # one constant per block of one to six digits, however long the period
-        rows = ternary._block_table(antiderivative._compose_blocks, antiderivative._DIGIT_MAPS)
-        assert 0 < sum(map(len, rows[1:])) <= 3 + 9 + 27 + 81 + 243 + 729
+        # one constant per block of up to six digits, however long the period
+        assert sum(map(len, antiderivative._rows())) == 1 + 3 + 9 + 27 + 81 + 243 + 729
 
     @pytest.mark.parametrize("x", [F(2, 9 * 1999), F(5, 3 * 3041), F(5, 3 * 2003)])
     def test_F_at_long_periods(self, x):

@@ -15,7 +15,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bourbaki import antiderivative, ternary
+from bourbaki import antiderivative, function, ternary
 from bourbaki.errors import ConsistencyError, DigitError, DomainError, ResourceLimitError
 from bourbaki.ternary import (
     TernaryExpansion,
@@ -428,23 +428,41 @@ class TestAffine:
         assert compose_chain(maps, compose_triples) == seq
 
 
+# family parameters a = p/q, 0 < a < 1, q <= 100
+family_as = st.fractions(min_value=0, max_value=1, max_denominator=100).filter(lambda a: 0 < a < 1)
+
+
 class TestBlockMaps:
+    @given(family_as)
+    @settings(deadline=None, max_examples=30)
+    def test_f_a_rows_are_the_digit_fold(self, a):
+        # column N of f_a's level-n table is the composite of the digit maps of
+        # the n-digit block of value N, unreduced: (1, 0, 1) is the empty block
+        rows = function._rows(function.FamilyParam(a))
+        assert len(rows) == 7
+        for n, row in enumerate(rows):
+            folds = [
+                reduce(compose_triples, [digit_triples(a)[d] for d in w], (1, 0, 1))
+                for w in product(range(3), repeat=n)
+            ]
+            assert list(row) == folds
+
     @given(
         st.lists(st.integers(0, 728), min_size=1, max_size=7),
         st.integers(1, 6),
-        st.fractions(min_value=0, max_value=1, max_denominator=100),
+        family_as,
     )
     def test_blocks_compose_to_the_digit_fold(self, blocks, last, a):
-        # f_a's integer triples and F's block constants, each against its own
-        # digit-by-digit fold: composition is exactly associative; the last
-        # block's digits past ``last`` are not read
+        # f_a's integer triples and F's block constants, each looked up in its
+        # rows and checked against the digit-by-digit fold of its level-1 row:
+        # the last block's digits past ``last`` are not read
         digits = [w // 3 ** (5 - k) % 3 for w in blocks for k in range(6)]
         digits = digits[: 6 * len(blocks) - 6 + last]
-        for compose, leaves in (
-            (compose_triples, digit_triples(a)),
-            (antiderivative._compose_blocks, antiderivative._DIGIT_MAPS),
+        for compose, rows in (
+            (compose_triples, function._rows(function.FamilyParam(a))),
+            (antiderivative._compose_blocks, antiderivative._rows()),
         ):
-            maps = block_maps(ternary.Reading(blocks, last), compose, leaves)
+            maps = block_maps(ternary.Reading(blocks, last), rows)
             assert len(maps) == len(blocks)
-            fold = reduce(compose, [leaves[d] for d in digits])
+            fold = reduce(compose, [rows[1][d] for d in digits])
             assert compose_chain(maps, compose) == fold
