@@ -4,20 +4,22 @@ Breakpoint tables: refinement never moves a breakpoint, so over column N of
 the level-n grid the graph of f is the affine image
 y = y[N] + (y[N+1] - y[N]) f(t) of the whole graph, and f(x) + f(1 - x) = 1
 makes the integral of f over [0, 1] equal 1/2.  So F gains exactly
-(y[N] + y[N+1]) / (2 * 3**n) across the column: the trapezoid rule on f's
-level-n table is exact for F on the level-n grid (``_integrate``).  F tables
-are ``BreakpointTable``s with numerators over 2 * 9**n and ``param`` None.
+(y[N] + y[N+1]) / (2 * 3**n * K) across the column, y over K: the trapezoid
+rule on f's level-n table is exact for F on the level-n grid (``_integrate``,
+which checks F(1) = 1/2).  F tables are ``BreakpointTable``s with numerators
+over 2 * 9**n and ``param`` None.
 
 The same columns give F's self-similar structure.  With P = 3**n, y over
-K = 3**n (q**n for f_a, a = p/q), G = 2 F and F's level-n table Y over
-2 P K, integrating
+K = 3**n, G = 2 F and F's level-n table Y over 2 P K, integrating
 f((N + t)/P) = (y[N] + (y[N+1] - y[N]) f(t))/K over t gives
 
     G((N + t)/P) = (S G(t) + Y + V t)/D,    D = P K
 
 for the n-digit block of base-3 value N, whose integer constants
 (S, Y, V, D, N, P, K) are (y[N+1] - y[N], Y[N], 2 y[N], P K, N, P, K)
-(``_rows``, levels 0 to 6); ``_compose_blocks`` composes them.
+(``_rows``, levels 0 to 6, read off f's ``block_rows`` and their
+``_integrate`` sums, so f and F walk the tables once); ``_compose_blocks``
+composes them.
 
 Over a period every tail is rho/q', rho the long-division remainder, and
 a block read from rho leaves rho' = P rho - q' N, so on v = q' G it is the
@@ -37,11 +39,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, count, repeat
-from operator import add, sub
+from operator import add
 from typing import Iterator
 
 from .errors import ConsistencyError, OrderError, ParameterError
-from .function import MAX_CLOSED_FORM_INDEX, BreakpointTable, build_iterate, iter_iterates
+from .function import CLASSICAL, MAX_CLOSED_FORM_INDEX, BreakpointTable, block_rows
+from .function import build_iterate, iter_iterates
 from .ternary import (
     Reading,
     block_maps,
@@ -53,12 +56,13 @@ from .ternary import (
 )
 
 def _integrate(t: BreakpointTable) -> BreakpointTable:
-    """F's table at the level of the classical f table ``t``, which must reach F(1) = 1/2."""
+    """F's table at the level of the f table ``t``, which must reach F(1) = 1/2."""
     n = t.y_numerators
     ynums = list(accumulate(map(add, n, n[1:]), initial=0))
-    if ynums[-1] != 9**t.level:
+    den = 3**t.level * t.y_denominator
+    if ynums[-1] != den:
         raise ConsistencyError("the trapezoid sum of the f table misses F(1) = 1/2")
-    return BreakpointTable(t.level, ynums, 2 * 9**t.level)
+    return BreakpointTable(t.level, ynums, 2 * den)
 
 
 def iter_F_iterates(max_level: int) -> Iterator[BreakpointTable]:
@@ -74,14 +78,15 @@ def build_F_iterate(i: int) -> BreakpointTable:
 @cache
 def _rows() -> tuple:
     """rows[n][N], n = 0 .. 6: the constants (y[N+1] - y[N], Y[N], 2 y[N], P K,
-    N, P, K) of the n-digit block of base-3 value N, read off column N of f's
-    level-n table y, over K, and of its ``_integrate`` table Y, with P = 3**n."""
+    N, P, K) of the n-digit block of base-3 value N, P = 3**n, from the classical
+    ``block_rows`` entry (y[N+1] - y[N], y[N], K) and its table's sum Y."""
     rows = []
-    for t in iter_iterates(6):
-        y, p, k = t.y_numerators, 3**t.level, t.y_denominator
+    for n, row in enumerate(block_rows(CLASSICAL)):
+        s, y = [r[0] for r in row], [r[1] for r in row]
+        k, p = row[0][2], 3**n
+        big_y = _integrate(BreakpointTable(n, [*y, y[-1] + s[-1]], k)).y_numerators
         rows.append(tuple(zip(
-            map(sub, y[1:], y), _integrate(t).y_numerators, map(add, y, y),
-            repeat(p * k), count(), repeat(p), repeat(k),
+            s, big_y, map(add, y, y), repeat(p * k), count(), repeat(p), repeat(k),
         )))
     return tuple(rows)
 

@@ -32,6 +32,17 @@ from .verify import available_suites, run_verification
 _RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 
+def _integer(text: str) -> int:
+    """The type of every count and index option: ASCII digits after an optional
+    '-', where ``int`` also takes other scripts' digits, '_', '+' and spaces."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past Python's limit on str-to-int digits
+        raise argparse.ArgumentTypeError(f"too many digits to parse: {len(text)}") from None
+
+
 def _parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare nonnegative integer) into a Fraction."""
     m = _RATIONAL_RE.match(text.strip())
@@ -161,9 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx-f", help="certified enclosure of f at a decimal point")
     p.add_argument("x", metavar="DECIMAL", help="decimal point in [0, 1]")
-    p.add_argument(
-        "--tol", metavar="DECIMAL", required=True, help="maximum enclosure width"
-    )
+    p.add_argument("--tol", metavar="DECIMAL", required=True, help="maximum enclosure width")
     p.set_defaults(handler=_cmd_approx_f)
 
     p = sub.add_parser("closed-form", help="known special value of f or F")
@@ -174,43 +183,35 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="closed-form case (F supports i through iv)",
     )
-    p.add_argument("--i", metavar="N", type=int, required=True, help="first index")
-    p.add_argument(
-        "--j", metavar="N", type=int, help="second index (f cases v and vi only)"
-    )
+    p.add_argument("--i", metavar="N", type=_integer, required=True, help="first index")
+    p.add_argument("--j", metavar="N", type=_integer, help="second index (f cases v and vi only)")
     p.set_defaults(handler=_cmd_closed_form)
 
     p = sub.add_parser("iterate", help="dump a construction iterate as CSV or SVG")
     p.add_argument("--target", choices=["f", "F"], required=True)
-    p.add_argument("--level", metavar="N", type=int, required=True)
+    p.add_argument("--level", metavar="N", type=_integer, required=True)
     p.add_argument("--a", metavar="P/Q", help="family parameter (f only)")
     p.add_argument("--format", choices=["csv", "svg"], required=True)
     p.add_argument("--out", metavar="PATH", required=True, help="output file")
     p.set_defaults(handler=_cmd_iterate)
 
     p = sub.add_parser("boxdim", help="box counts and dimension estimate")
-    p.add_argument("--max-level", metavar="N", type=int, required=True)
+    p.add_argument("--max-level", metavar="N", type=_integer, required=True)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(handler=_cmd_boxdim)
 
     p = sub.add_parser("arclength", help="arc lengths of antiderivative iterates")
-    p.add_argument("--max-level", metavar="N", type=int, required=True)
+    p.add_argument("--max-level", metavar="N", type=_integer, required=True)
     p.set_defaults(handler=_cmd_arclength)
 
     p = sub.add_parser("measure", help="mass of a ternary interval")
-    p.add_argument(
-        "--digits", metavar="DIGITS", required=True, help="address string over 012"
-    )
+    p.add_argument("--digits", metavar="DIGITS", required=True, help="address string over 012")
     p.set_defaults(handler=_cmd_measure)
 
     p = sub.add_parser("verify", help="run identity verification suites")
-    p.add_argument(
-        "--suite",
-        choices=available_suites(),
-        default="all",
-    )
-    p.add_argument("--cases", metavar="N", type=int, default=200)
-    p.add_argument("--seed", metavar="N", type=int, default=0)
+    p.add_argument("--suite", choices=available_suites(), default="all")
+    p.add_argument("--cases", metavar="N", type=_integer, default=200)
+    p.add_argument("--seed", metavar="N", type=_integer, default=0)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

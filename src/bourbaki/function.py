@@ -13,8 +13,8 @@ affine map, and the graph of the classical function is the attractor of three
 plane affine maps.  Those three descriptions are implemented side by side and
 cross-checked: refinement tables, digit maps and the iterated function system.
 ``eval_exact`` closes f_a at a rational point from the composite digit maps of
-blocks of up to six digits, read off the columns of the tables (``_rows``), as
-``antiderivative.eval_F_exact`` closes F.
+blocks of up to six digits, read off the columns of the tables (``block_rows``);
+``antiderivative.eval_F_exact`` closes F from the same rows and their sums.
 
 Refinement tables of f and of the antiderivative F share one type,
 ``BreakpointTable``: the level, the y-values as integer numerators over one
@@ -168,7 +168,7 @@ def ifs_refine(t: BreakpointTable) -> BreakpointTable:
 
 
 @lru_cache(maxsize=4)
-def _rows(param: FamilyParam) -> tuple:
+def block_rows(param: FamilyParam) -> tuple:
     """rows[n][N], n = 0 .. 6: the composite (y[N+1] - y[N], y[N], q**n) of the
     digit maps of the n-digit block of value N, read off column N of the level-n
     table y: refinement never moves a breakpoint, so over that column f_a is
@@ -182,11 +182,11 @@ def _rows(param: FamilyParam) -> tuple:
 
 def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
     """Exact value of f_a at a rational x in [0, 1]: ``close_triples`` of the
-    ``block_maps`` of ``read_point``'s period and preperiod in f_a's ``_rows``;
+    ``block_maps`` of ``read_point``'s period and preperiod in ``block_rows(param)``;
     the period composite contracts, since its |slope| is at most
     max(a, 1 - a, |2a - 1|) ** period_length < 1."""
     pre, _, _, period = read_point(x)
-    rows = _rows(param)
+    rows = block_rows(param)
     leaves = block_maps(period, rows) if period else []
     if period and period.halved:
         # the leaves read half an antiperiodic period; its second half maps v -> 1 - v,

@@ -1,12 +1,12 @@
 """Fractal geometry of the classical graph: box counts, covers, mass, length.
 
-Counts, covers and the integer root sums of arc lengths are exact; only final
-quotients, logarithms and powers pass through ``decimal`` at 50 digits, with
-directed rounding where an inequality or a printed digit must not rest on
-rounding error.  Decimal's ``ln`` and ``exp`` round half-even whatever the
-context's rounding, so ``_outward`` steps each of their results one unit
-outward unless it is exact: a half-even result lies within half a unit of the
-true value.  Arc lengths take integer ``math.isqrt`` roots, not Decimal's.
+Counts, covers, masses, the mass bound and the integer root sums of arc
+lengths are exact; only final quotients and logarithms pass through
+``decimal`` at 50 digits, with directed rounding where a printed digit must
+not rest on rounding error.  Decimal's ``ln`` rounds half-even whatever the
+context's rounding, so ``_outward`` steps each result one unit outward unless
+it is exact: a half-even result lies within half a unit of the true value.
+Arc lengths take integer ``math.isqrt`` roots, not Decimal's.
 
 Grid convention for box counting: the unit square is cut into closed boxes of
 side 3**-i on the origin-anchored grid, and a box is counted when it meets
@@ -47,12 +47,12 @@ _UP = decimal.Context(prec=_PRECISION, rounding=decimal.ROUND_CEILING)
 _EVEN = decimal.Context(prec=_PRECISION, rounding=decimal.ROUND_HALF_EVEN)
 
 
-def _outward(op: str, x: int | Decimal) -> tuple[Decimal, Decimal, Decimal]:
-    """(lo, value, hi) for the 50-digit ``ln`` or ``exp`` of x: value
-    rounded half-even, lo and hi one unit either side unless it is exact.
-    ``Inexact`` is read from a fresh context, as a shared one keeps old flags."""
+def _outward(x: int | Decimal) -> tuple[Decimal, Decimal, Decimal]:
+    """(lo, value, hi) for the 50-digit ``ln`` of x: value rounded half-even,
+    lo and hi one unit either side unless it is exact.  ``Inexact`` is read
+    from a fresh context, as a shared one keeps old flags."""
     ctx = decimal.Context(prec=_PRECISION)
-    value = getattr(ctx, op)(x)
+    value = ctx.ln(x)
     if not ctx.flags[decimal.Inexact]:
         return value, value, value
     return ctx.next_minus(value), value, ctx.next_plus(value)
@@ -91,7 +91,7 @@ def _dimension_bounds(level: int, count: int) -> tuple[Decimal, Decimal, Decimal
     """(lo, value, hi) for log(count) / (level * log 3) at 50 digits: value
     rounded half-even, and lo <= estimate <= hi from the logarithms' outward
     bounds and the multiply and divide rounded outward."""
-    ln_count, ln_3 = _outward("ln", count), _outward("ln", 3)
+    ln_count, ln_3 = _outward(count), _outward(3)
     return (
         _DOWN.divide(ln_count[0], _UP.multiply(level, ln_3[2])),
         _EVEN.divide(ln_count[1], _EVEN.multiply(level, ln_3[1])),
@@ -193,31 +193,22 @@ def mass_measure(level: int) -> dict[tuple[int, ...], Fraction]:
     return {path: interval_mass(path) for path in product(range(3), repeat=level)}
 
 
-def _mass_classes(i: int) -> Iterator[tuple[int, Decimal, Decimal]]:
-    """(ones, mass rounded up, 5 * diam ** s rounded down), s = log3(5), for
-    each class of level-i rectangles, a class being the number of digit-1
-    steps in the path.  With k = i - ones the mass is 2**k / 5**i and
-    diam**2 = (1 + 4**k) / 9**i, so by 3**s = 5 the right-hand side is
-    5 * (1 + 4**k) ** (s / 2) / 5**i: every factor is positive, so each one
-    is rounded down, s / 2 as ln 5 rounded down over 2 ln 3 rounded up.
-    """
-    half_s = _DOWN.divide(_outward("ln", 5)[0], _UP.multiply(2, _outward("ln", 3)[2]))
-    for ones in range(i + 1):
-        k = i - ones
-        power = _outward("exp", _DOWN.multiply(half_s, _outward("ln", 1 + 4**k)[0]))[0]
-        yield ones, _UP.divide(2**k, 5**i), _DOWN.divide(_DOWN.multiply(5, power), 5**i)
-
-
 def mass_bound_check(i: int) -> bool:
-    """Verify mass(U) <= 5 * diam(U) ** log3(5) for every level-i rectangle.
+    """Verify mass(U) <= diam(U) ** s, s = log3(5), for every level-i rectangle U.
 
-    A rectangle's mass, height and diameter depend only on how many digit-1
-    steps its path contains, so the 3**i rectangles reduce to i + 1 classes
-    (``_mass_classes``).  The mass is bounded above and the right-hand side
-    below, so a pass can never be an artifact of rounding.
+    Exactly, on the ``cover_level(i)`` walk: each rectangle's ``interval_mass``
+    must be its height times (3/5)**i, and its width at most its height.  By
+    3**s = 5 the width 3**-i gives (3/5)**i = width ** (s - 1), so
+    mass = height * width ** (s - 1) <= diam ** s, since height and width are
+    each at most diam and s > 1.
     """
     check_index(i, cap=MAX_MASS_LEVEL)
-    return all(mass <= rhs for _, mass, rhs in _mass_classes(i))
+    ratio = Fraction(3, 5) ** i
+    for r in cover_level(i):
+        height = r.y_hi - r.y_lo
+        if interval_mass(r.digits) != height * ratio or r.x_hi - r.x_lo > height:
+            return False
+    return True
 
 
 def iter_segment_squares(i: int) -> Iterator[Fraction]:

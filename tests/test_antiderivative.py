@@ -16,7 +16,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bourbaki import antiderivative
+from bourbaki import antiderivative, function
 from bourbaki.antiderivative import (
     build_F_iterate,
     eval_F_exact,
@@ -26,7 +26,14 @@ from bourbaki.antiderivative import (
     range_integral,
 )
 from bourbaki.errors import ConsistencyError, OrderError, ParameterError, ResourceLimitError
-from bourbaki.function import CLASSICAL, BreakpointTable, build_iterate, eval_exact
+from bourbaki.function import (
+    CLASSICAL,
+    BreakpointTable,
+    FamilyParam,
+    build_iterate,
+    eval_exact,
+    iter_iterates,
+)
 from bourbaki.prng import SplitMix64
 
 F = Fraction
@@ -115,6 +122,15 @@ class TestBuildFIterate:
         with pytest.raises(ConsistencyError, match="F\\(1\\) = 1/2"):
             build_F_iterate(3)
 
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=100).filter(lambda a: 0 < a < 1))
+    @settings(deadline=None, max_examples=30)
+    def test_every_f_a_table_integrates_to_one_half(self, a):
+        # f_a(x) + f_a(1 - x) = 1 for every a, so the trapezoid sum of each
+        # level-n table, over 3**n q**n, reaches 1 and F_a(1) = 1/2
+        for t in iter_iterates(4, FamilyParam(a)):
+            big = antiderivative._integrate(t)
+            assert big.y_numerators[-1] * 2 == big.y_denominator == 2 * 3**t.level * t.y_denominator
+
 
 class TestEvalFExact:
     @pytest.mark.parametrize(
@@ -198,6 +214,23 @@ class TestEvalFExact:
                 for w in product(range(3), repeat=n)
             ]
             assert list(row) == folds
+
+    def test_f_and_F_rows_walk_the_tables_once(self, monkeypatch):
+        # F's rows are read off f's classical rows, so one process walks the
+        # level 0-6 tables once for both closures
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return iter_iterates(*args)
+
+        for module in (function, antiderivative):
+            monkeypatch.setattr(module, "iter_iterates", counted)
+        function.block_rows.cache_clear()
+        antiderivative._rows.cache_clear()
+        assert eval_exact(F(1, 7)) == F(8, 23)
+        assert eval_F_exact(F(1, 2)) == F(1, 5)
+        assert walks == [(6, CLASSICAL)]
 
     @pytest.mark.parametrize(
         "x,message",

@@ -506,3 +506,44 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
         assert "bourbaki" in capsys.readouterr().out
+
+
+# every count and index option, each the last word of an otherwise valid command;
+# "OUT" stands for a file path (``_command``)
+INTEGER_OPTIONS = [
+    ["closed-form", "--target", "f", "--case", "i", "--i"],
+    ["closed-form", "--target", "f", "--case", "v", "--i", "1", "--j"],
+    ["iterate", "--target", "f", "--format", "csv", "--out", "OUT", "--level"],
+    ["boxdim", "--max-level"],
+    ["arclength", "--max-level"],
+    ["verify", "--suite", "geometry", "--cases"],
+    ["verify", "--suite", "geometry", "--seed"],
+]
+
+
+def _command(words, tmp_path):
+    return [str(tmp_path / "t.csv") if w == "OUT" else w for w in words]
+
+
+class TestIntegerOptions:
+    """Count and index options take ASCII digits after an optional '-', where
+    Python's ``int`` also takes other scripts' digits, '_', '+' and spaces."""
+
+    @pytest.mark.parametrize("spelling", ["٣", "1_0", "+3", " 3", "３"])
+    @pytest.mark.parametrize("words", INTEGER_OPTIONS, ids=lambda w: f"{w[0]}{w[-1]}")
+    def test_other_spellings_are_usage_errors(self, capsys, tmp_path, words, spelling):
+        assert run([*_command(words, tmp_path), spelling]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.endswith(
+            f"error: argument {words[-1]}: expected an integer in ASCII digits, got {spelling!r}\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("words", INTEGER_OPTIONS, ids=lambda w: f"{w[0]}{w[-1]}")
+    def test_too_many_digits_are_a_usage_error(self, capsys, tmp_path, words):
+        assert run([*_command(words, tmp_path), "7" * 5000]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {words[-1]}: too many digits to parse: 5000\n")

@@ -7,12 +7,12 @@ recomputed here with decimal square roots, independent of the module's own
 summation path.
 """
 
+import dataclasses
 import decimal
 import hashlib
 import itertools
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -49,8 +49,8 @@ def _widen_call(monkeypatch, n):
     on (counting from 0; every call for n=None) by 10**-40."""
     count = itertools.count()
 
-    def outward(op, x):
-        lo, value, hi = OUTWARD(op, x)
+    def outward(x):
+        lo, value, hi = OUTWARD(x)
         if n is None or next(count) == n:
             return REF.subtract(lo, Decimal("1e-40")), value, REF.add(hi, Decimal("1e-40"))
         return lo, value, hi
@@ -59,26 +59,20 @@ def _widen_call(monkeypatch, n):
 
 
 class TestOutward:
-    @pytest.mark.parametrize("op", ["ln", "sqrt", "exp"])
-    def test_bounds_enclose_a_120_digit_reference(self, op):
+    def test_bounds_enclose_a_120_digit_reference(self):
         above = set()
         for n in range(2, 40):
-            if op == "sqrt" and isqrt(n) ** 2 == n:
-                continue
-            ref = getattr(REF, op)(Decimal(n))
-            lo, value, hi = OUTWARD(op, Decimal(n))
+            ref = REF.ln(Decimal(n))
+            lo, value, hi = OUTWARD(Decimal(n))
             assert lo < ref < hi, n
             assert value == CTX.plus(ref), n
             above.add(value > ref)
         # half-even results on both sides of the true value: neither step is spare
         assert above == {False, True}
 
-    @pytest.mark.parametrize(
-        "op,x,exact", [("ln", 1, 0), ("sqrt", 4, 2), ("sqrt", "2.25", "1.5"), ("exp", 0, 1)]
-    )
-    def test_exact_results_are_their_own_bounds(self, op, x, exact):
-        OUTWARD("ln", Decimal(2))  # an inexact result first leaves no flag behind
-        assert OUTWARD(op, Decimal(x)) == (Decimal(exact),) * 3
+    def test_exact_result_is_its_own_bounds(self):
+        OUTWARD(Decimal(2))  # an inexact result first leaves no flag behind
+        assert OUTWARD(Decimal(1)) == (Decimal(0),) * 3
 
     # Widening one call's bounds at a time shows that each call site takes the
     # right end: every lower bound it feeds goes down and every upper bound up.
@@ -89,14 +83,6 @@ class TestOutward:
             _widen_call(monkeypatch, n)
             wide_lo, _, wide_hi = geometry._dimension_bounds(i, 5**i)
             assert wide_lo < lo and hi < wide_hi, n
-
-    @pytest.mark.parametrize("i", range(9))
-    def test_mass_right_hand_sides_take_the_lower_ends(self, monkeypatch, i):
-        rhs = [r for _, _, r in geometry._mass_classes(i)]
-        for n in (None, *range(2 * i + 4)):  # every call, ln 5, ln 3, then ln and exp per class
-            _widen_call(monkeypatch, n)
-            wide = [r for _, _, r in geometry._mass_classes(i)]
-            assert all(w <= r for w, r in zip(wide, rhs)) and wide != rhs, n
 
 
 class TestBoxCount:
@@ -275,19 +261,24 @@ class TestMassBound:
         with pytest.raises(ResourceLimitError):
             mass_bound_check(9)
 
-    @pytest.mark.parametrize("i", range(9))
-    def test_class_bounds_enclose_a_120_digit_reference(self, i):
-        # one class per count of digit-1 steps, level 0 included
-        s = REF.divide(REF.ln(Decimal(5)), REF.ln(Decimal(3)))
-        classes = list(geometry._mass_classes(i))
-        assert [ones for ones, _, _ in classes] == list(range(i + 1))
-        for ones, mass_up, rhs_down in classes:
-            mass = F(2 ** (i - ones), 5**i)
-            assert mass <= mass_up < mass + F(1, 10**50)
-            diam = REF.sqrt(REF.divide(Decimal(1 + 4 ** (i - ones)), Decimal(9**i)))
-            rhs = REF.multiply(Decimal(5), REF.exp(REF.multiply(s, REF.ln(diam))))
-            assert rhs_down <= rhs
-            assert REF.subtract(rhs, rhs_down) < REF.multiply(rhs, Decimal("1e-45"))
+    @pytest.mark.parametrize("i", [1, 4, 8])
+    def test_a_mass_off_at_one_path_fails(self, monkeypatch, i):
+        # 10**-60 is below any 50-digit rounding: the check compares exact fractions
+        def mass(digits):
+            return interval_mass(digits) + (F(1, 10**60) if digits == (1,) * i else 0)
+
+        monkeypatch.setattr(geometry, "interval_mass", mass)
+        assert not mass_bound_check(i)
+
+    @pytest.mark.parametrize(
+        "field,step", [("y_hi", F(1, 3**12)), ("x_hi", F(2, 3**3))], ids=["height", "width"]
+    )
+    def test_one_wrong_rectangle_fails(self, monkeypatch, field, step):
+        # a height off the mass, or a width past the height (rectangle 13, path 111)
+        rects = cover_level(3)
+        rects[13] = dataclasses.replace(rects[13], **{field: getattr(rects[13], field) + step})
+        monkeypatch.setattr(geometry, "cover_level", lambda i: rects)
+        assert not mass_bound_check(3)
 
 
 class TestArcLength:

@@ -438,7 +438,7 @@ class TestBlockMaps:
     def test_f_a_rows_are_the_digit_fold(self, a):
         # column N of f_a's level-n table is the composite of the digit maps of
         # the n-digit block of value N, unreduced: (1, 0, 1) is the empty block
-        rows = function._rows(function.FamilyParam(a))
+        rows = function.block_rows(function.FamilyParam(a))
         assert len(rows) == 7
         for n, row in enumerate(rows):
             folds = [
@@ -459,7 +459,7 @@ class TestBlockMaps:
         digits = [w // 3 ** (5 - k) % 3 for w in blocks for k in range(6)]
         digits = digits[: 6 * len(blocks) - 6 + last]
         for compose, rows in (
-            (compose_triples, function._rows(function.FamilyParam(a))),
+            (compose_triples, function.block_rows(function.FamilyParam(a))),
             (antiderivative._compose_blocks, antiderivative._rows()),
         ):
             maps = block_maps(ternary.Reading(blocks, last), rows)
