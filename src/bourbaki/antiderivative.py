@@ -24,14 +24,13 @@ composes them.
 Over a period every tail is rho/q', rho the long-division remainder, and
 a block read from rho leaves rho' = P rho - q' N, so on v = q' G it is the
 integer triple v -> (S v + q' Y + V rho')/D.  ``read_point`` gives each
-block's value and the remainder where it ends, so each block is one
-``block_maps`` constant read at its division remainder; only the last
-block's N is walked, from the remainder before it, and must land on rho
-(or q' - rho after a half period).  For an antiperiodic period the tail
-after the first half is 1 - t*, and F(1 - t) = F(t) + 1/2 - t appends the
-leaf v -> v + q' - 2 rho for the second half.  ``close_triples`` gives
-2 q' F(t*), carried to 2 q' F(x) by the preperiod's chain read at rho, in
-one reduction, the final Fraction.
+block's value, so each block is one ``block_maps`` constant, whose own N
+and P walk the remainder on in the same pass; the walk over every block
+must end on rho (or q' - rho after a half period).  For an antiperiodic
+period the tail after the first half is 1 - t*, and F(1 - t) =
+F(t) + 1/2 - t appends the leaf v -> v + q' - 2 rho for the second half.
+``close_triples`` gives 2 q' F(t*), carried to 2 q' F(x) by the
+preperiod's chain read at rho, in one reduction, the final Fraction.
 """
 
 from __future__ import annotations
@@ -103,18 +102,16 @@ def _compose_blocks(outer, inner):
 
 def _period_leaves(period: Reading, rho: int, q_free: int) -> list:
     """The period's leaves for ``close_triples`` at the tail t* = rho/q', from
-    its ``Reading``: one triple (S, q' Y + V rho', D) per block, read
-    at the division's remainder rho' where that block ends, then the
-    translation leaf of an antiperiodic period's second half."""
-    rems, halved = period.rems, period.halved
-    consts = block_maps(period, _rows())
-    end = q_free - rho if halved else rho
-    _, _, _, _, n, p, _ = consts[-1]
-    if (rems[-1] if rems else rho) * p - q_free * n != end:
+    its ``Reading``: one triple (S, q' Y + V r, D) per block, r the remainder
+    where that block ends, walked r <- P r - q' N from rho over every block,
+    then the translation leaf of an antiperiodic period's second half."""
+    leaves, r = [], rho
+    for s, y, v, d, n, p, _ in block_maps(period, _rows()):
+        r = p * r - q_free * n
+        leaves.append((s, q_free * y + v * r, d))
+    if r != (q_free - rho if period.halved else rho):
         raise ConsistencyError("the remainder walk does not close the period")
-    tails = [*rems, end]
-    leaves = [(s, q_free * y + v * r, d) for (s, y, v, d, _, _, _), r in zip(consts, tails)]
-    if halved:
+    if period.halved:
         # the tail after the first half is 1 - t*, and 2 F(1 - t) = 2 F(t) + 1 - 2 t
         leaves.append((1, q_free - 2 * rho, 1))
     return leaves
@@ -123,13 +120,12 @@ def _period_leaves(period: Reading, rho: int, q_free: int) -> list:
 def eval_F_exact(x) -> Fraction:
     """Exact value of the antiderivative at a rational point in [0, 1].
 
-    ``read_point`` writes x = (N + t*)/3**m, N the m preperiod digits and
-    t* = rho/q' the periodic tail, q' the 3-free part of the denominator of
-    x (rho = q' = 1 for x = 1).  ``_period_leaves`` close to 2 q' F(t*), and
-    the preperiod's chain of ``block_maps``, read at rho, carries it to
-    2 q' F(x); that walk from x must end at rho.
+    ``read_point``, which also checks x, writes x = (N + t*)/3**m, N the m
+    preperiod digits and t* = rho/q' the periodic tail, q' the 3-free part
+    of the denominator of x (rho = q' = 1 for x = 1).  ``_period_leaves``
+    close to 2 q' F(t*), and the preperiod's chain of ``block_maps``, read
+    at rho, carries it to 2 q' F(x); that walk from x must end at rho.
     """
-    x = check_unit_interval(x)
     pre, rho, q_free, period = read_point(x)
     leaves = _period_leaves(period, rho, q_free) if period else []
     pre_maps = []

@@ -29,7 +29,7 @@ from .geometry import arc_length_profile, box_count, dimension_estimate, interva
 from .render import csv_table, decimal_12, format_value, svg_polyline
 from .verify import available_suites, run_verification
 
-_RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
+_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def _integer(text: str) -> int:
@@ -44,8 +44,8 @@ def _integer(text: str) -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a bare nonnegative integer) into a Fraction."""
-    m = _RATIONAL_RE.match(text.strip())
+    """Parse "p/q" (or a bare nonnegative integer), with no whitespace, into a Fraction."""
+    m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise ParseError(f"expected a rational like p/q, got {text!r}")
     p, q = parse_decimal(m.group(1)), parse_decimal(m.group(2) or "1")

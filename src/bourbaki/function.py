@@ -267,14 +267,14 @@ def closed_form_value(case: str, i: int, j: int | None = None) -> tuple[Fraction
     return Fraction(1, 3**j - p3), scale * Fraction(2**k, 3**k + 2 ** (k - 1))
 
 
-_DECIMAL_RE = re.compile(r"^([0-9]+)(?:\.([0-9]*))?$|^\.([0-9]+)$")
+_DECIMAL_RE = re.compile(r"([0-9]+)(?:\.([0-9]*))?|\.([0-9]+)")
 
 
 def parse_decimal(text: str) -> Fraction:
-    """Exact rational value of a plain decimal literal like '0.125'."""
+    """Exact rational value of a plain decimal like '0.125', with no whitespace."""
     if not isinstance(text, str):
         raise ParseError(f"expected a decimal string, got {type(text).__name__}")
-    m = _DECIMAL_RE.match(text.strip())
+    m = _DECIMAL_RE.fullmatch(text)
     if not m:
         raise ParseError(f"malformed decimal {text!r}")
     whole, frac_part, bare = m.groups()

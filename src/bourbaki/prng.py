@@ -60,10 +60,3 @@ class SplitMix64:
         q = 1 + self.next_below(max_denominator)
         p = self.next_below(q + 1)
         return Fraction(p, q)
-
-    def next_ternary_rational(self, max_level: int) -> Fraction:
-        """Return a random grid point k/3**i with 1 <= i <= max_level."""
-        check_index(max_level, "max_level", 1)
-        i = 1 + self.next_below(max_level)
-        k = self.next_below(3**i + 1)
-        return Fraction(k, 3**i)

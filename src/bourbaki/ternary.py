@@ -8,7 +8,7 @@ v -> (s v + b)/d, and reduces once, in the ``Fraction`` it returns:
   The preperiod is read by recursive halving, the period by long division
   by 3**6.  When 3**(L/2) = -1 mod q', the period's second half is the
   digit complement (0 <-> 2) of the first, and the division stops at the
-  half.
+  half.  A reading holds block values only, not the division's remainders.
 * ``TernaryExpansion`` -- the canonical expansion, one per rational, with
   ``bytes`` digits (``check_digits`` is the one test of a digit);
   ``to_ternary`` joins it from ``read_point``, and no closure of a point
@@ -173,25 +173,25 @@ class Reading(NamedTuple):
     """A run of base-3 digits as ``read_point`` reads it: ``blocks`` holds
     the six-digit block values (< 3**6), most significant first, and
     ``last`` the number of the last block's leading digits (1 to 6) that
-    end the run.  A period also carries ``rems``, the division's remainder
-    after each block but the last, and ``halved``, whether the division
-    stopped at the half period."""
+    end the run.  A period also carries ``halved``, whether the division
+    stopped at the half period.  It keeps no remainders: a block of n
+    digits and value N read at the remainder r leaves 3**n r - q' N."""
 
     blocks: Sequence[int]
     last: int
-    rems: Sequence[int] = ()
     halved: bool = False
 
 
 def read_period(start: int, q_free: int) -> Reading:
     """The ``Reading`` of the periodic tail start/q', 0 < start < q'.
 
-    The remainder after k digits is
-    start * 3**k mod q', so one dict lookup per block, keyed by
-    start * 3**e for e = 0 .. 5, finds where the minimal period ends.  The
-    dict also holds q' - start: reaching it after h digits leaves the tail
-    1 - start/q', so the period is antiperiodic, of 2h digits, its second
-    half the digit complement (0 <-> 2) of the first.  A period over
+    The remainder after k digits is start * 3**k mod q', so one dict
+    lookup per block, keyed by start * 3**e for e = 0 .. 5, finds where the
+    minimal period ends.  The dict also holds q' - start: reaching it after
+    h digits leaves the tail 1 - start/q', so the period is antiperiodic,
+    of 2h digits, its second half the digit complement (0 <-> 2) of the
+    first.  Only the block values are kept; a caller that needs the
+    remainders walks them from start and the blocks.  A period over
     MAX_PERIOD_DIGITS digits (the full period, not its half) raises
     ``ResourceLimitError`` during the division.
     """
@@ -205,20 +205,19 @@ def read_period(start: int, q_free: int) -> Reading:
         ends[full] = (e, False)
         full, half = full * 3 % q_free, half * 3 % q_free
     cap = MAX_PERIOD_DIGITS
-    blocks, rems = [], []
+    blocks = []
     num = start
     for _ in range(cap // 6 + 1):
         blk, num = divmod(num * 729, q_free)
         blocks.append(blk)
         if num in ends:
             break
-        rems.append(num)
     else:
         raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
     past, halved = ends[num]
     if (6 * len(blocks) - past) << halved > cap:
         raise ResourceLimitError(f"base-3 period over the cap of {cap} digits")
-    return Reading(blocks, 6 - past, rems, halved)
+    return Reading(blocks, 6 - past, halved)
 
 
 # the tail 1 = 0.222...: the one-digit period 2, which long division never gives

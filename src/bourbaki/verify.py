@@ -307,7 +307,7 @@ def run_verification(
     if suite not in available_suites():
         names = ", ".join(available_suites())
         raise ParameterError(f"suite must be one of {names}, got {suite!r}")
-    check_index(samples, "samples", 1, MAX_SAMPLES)
+    check_index(samples, "cases", 1, MAX_SAMPLES)
     rng = SplitMix64(seed)
     report = VerifyReport(suite, 0)
     start = time.perf_counter()

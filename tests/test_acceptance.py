@@ -126,7 +126,8 @@ def test_criterion_05_derivative_recovery(capsys):
         rng = SplitMix64(512)
         accepted = 0
         while accepted < 100:
-            x = rng.next_ternary_rational(8)
+            i = 1 + rng.next_below(8)
+            x = F(rng.next_below(3**i + 1), 3**i)
             if not h <= x <= 1 - h:
                 continue
             central = (eval_F_exact(x + h) - eval_F_exact(x - h)) / (2 * h)

@@ -35,6 +35,7 @@ from bourbaki.function import (
     iter_iterates,
 )
 from bourbaki.prng import SplitMix64
+from bourbaki.ternary import read_point
 
 F = Fraction
 
@@ -248,6 +249,26 @@ class TestEvalFExact:
         )
         monkeypatch.setattr(antiderivative, "_rows", lambda: rows)
         with pytest.raises(ConsistencyError, match=message):
+            eval_F_exact(x)
+
+    @pytest.mark.parametrize(
+        "x,blocks",
+        [
+            (F(1, 47), [15, 372, 186, 93]),  # full period of 23 digits
+            (F(1, 103), [7, 56, 452]),  # half period of 17 digits
+        ],
+    )
+    def test_corrupted_interior_block_is_caught(self, monkeypatch, x, blocks):
+        # only the second block's level-6 entry reads N + 1: the walk leaves
+        # that block off by q', which the later blocks cannot bring back
+        assert read_point(x)[3].blocks == blocks
+        rows = list(antiderivative._rows())
+        row = list(rows[6])
+        s, y, v, d, n, p, k = row[blocks[1]]
+        row[blocks[1]] = (s, y, v, d, n + 1, p, k)
+        rows[6] = tuple(row)
+        monkeypatch.setattr(antiderivative, "_rows", lambda: tuple(rows))
+        with pytest.raises(ConsistencyError, match="remainder walk"):
             eval_F_exact(x)
 
 

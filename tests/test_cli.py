@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bourbaki import geometry, verify
 from bourbaki.cli import run
@@ -442,6 +443,20 @@ class TestVerifyCommand:
     def test_seed_range(self, capsys):
         assert run(["verify", "--suite", "geometry", "--seed", str(2**64)]) == 1
 
+    @pytest.mark.parametrize(
+        "cases,message",
+        [
+            ("0", "cases must be an integer >= 1, got 0"),
+            ("-1", "cases must be an integer >= 1, got -1"),
+            ("10001", "cases 10001 exceeds the supported cap 10000"),
+        ],
+    )
+    def test_out_of_range_counts_name_cases(self, capsys, cases, message):
+        assert run(["verify", "--suite", "geometry", "--cases", cases]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_process_level_determinism(self):
         cmd = [
             sys.executable, "-m", "bourbaki",
@@ -547,3 +562,103 @@ class TestIntegerOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"error: argument {words[-1]}: too many digits to parse: 5000\n")
+
+
+# every rational and decimal the commands take, each written as "X" in an
+# otherwise valid command, with a token that the command accepts there
+POSITIONALS = [
+    (["eval-f", "X"], "1/3"),
+    (["eval-F", "X"], "1/3"),
+    (["eval-f", "1/3", "--a", "X"], "1/4"),
+    (["approx-f", "X", "--tol", "0.001"], "0.5"),
+    (["approx-f", "0.5", "--tol", "X"], "0.001"),
+]
+
+
+class TestWhitespace:
+    """Rationals and decimals are read as written: whitespace around one, a
+    trailing newline included, is invalid input."""
+
+    @pytest.mark.parametrize("spelling", [" {}", "{} ", "{}\n", "\t{}", "{}\r\n"])
+    @pytest.mark.parametrize("words,token", POSITIONALS, ids=["f", "F", "a", "approx", "tol"])
+    def test_whitespace_is_refused(self, capsys, words, token, spelling):
+        assert run([token if w == "X" else w for w in words]) == 0
+        capsys.readouterr()
+        assert run([spelling.format(token) if w == "X" else w for w in words]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# tokens that no option of any kind accepts, or accepts only by luck
+_JUNK = st.sampled_from(["", " ", "\t", "\n", "-", "+3", "1_0", "٣", "３", " 1", "1 ", "abc", "7" * 5000])
+
+
+def _token(*good):
+    """One of the ``good`` tokens or, one time in four, junk."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(good) if k else _JUNK)
+
+
+_SMALL = _token("0", "1", "2", "3", "-1")
+_RATIONAL = _token("0", "1", "1/3", "2/7", "5/9", "3/2", "1/0", "-1/2", "1/" + "7" * 5000)
+_DECIMAL = _token("0", "1", "0.5", ".25", "0.", "0.001", "2.5", "0." + "3" * 5000)
+
+
+def _option(flag, values):
+    """[flag, value] or, one time in eight, nothing."""
+    return st.tuples(st.integers(0, 7), values).map(lambda t: [flag, t[1]] if t[0] else [])
+
+
+def _argv(out_paths):
+    """One argv of some subcommand: each option drawn from a few good values and
+    from junk, and each of them sometimes left out."""
+    target = _option("--target", _token("f", "F", "g"))
+    case = _option("--case", _token("i", "iv", "v", "vi", "vii"))
+    shapes = {
+        "eval-f": [_RATIONAL.map(lambda v: [v]), _option("--a", _RATIONAL)],
+        "eval-F": [_RATIONAL.map(lambda v: [v])],
+        "approx-f": [_DECIMAL.map(lambda v: [v]), _option("--tol", _DECIMAL)],
+        "closed-form": [
+            target, case, _option("--i", _token("1", "2", "1000", "-2")),
+            st.just([]) | _option("--j", _SMALL),
+        ],
+        "iterate": [
+            target, _option("--level", _SMALL), st.just([]) | _option("--a", _RATIONAL),
+            _option("--format", _token("csv", "svg")), _option("--out", st.sampled_from(out_paths)),
+        ],
+        "boxdim": [_option("--max-level", _SMALL), _option("--format", _token("table", "json"))],
+        "arclength": [_option("--max-level", _SMALL)],
+        "measure": [_option("--digits", _token("0", "012", "2" * 60, "0a"))],
+        "verify": [
+            _option("--suite", _token("all", "geometry", "family", "none")),
+            _option("--cases", _SMALL), _option("--seed", _token("0", "42", str(2**64), "-3")),
+        ],
+    }
+    return st.sampled_from(sorted(shapes)).flatmap(
+        lambda name: st.tuples(*shapes[name]).map(lambda parts: [name, *sum(parts, [])])
+    )
+
+
+class TestArgvFuzz:
+    """Whatever the argv, a command exits 0, 1 or 2 without a traceback, prints
+    nothing to stdout unless it succeeds, and on invalid input ends stderr in
+    one error line."""
+
+    @given(data=st.data())
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_every_exit_is_clean(self, capsys, tmp_path, data):
+        argv = data.draw(_argv([str(tmp_path / "t.csv"), str(tmp_path)]))
+        capsys.readouterr()
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        if code:
+            assert captured.out == ""
+        if code == 1:
+            lines = captured.err.splitlines()
+            assert captured.err.endswith("\n") and "error: " in lines[-1]
+            assert sum("error:" in line for line in lines) == 1

@@ -2,7 +2,8 @@
 
 Every index must be a true ``int``: ``bool`` (an ``int`` subclass) and any
 other type raise ``ParameterError``, and an index over its documented cap
-raises ``ResourceLimitError``.
+raises ``ResourceLimitError``.  The seed of ``SplitMix64`` is checked the same
+way, and pins the generator's reference stream.
 """
 
 from fractions import Fraction
@@ -40,7 +41,6 @@ INDEXED = {
     "run_verification": lambda n: run_verification("symmetry", 1, n),
     "next_below": lambda n: SplitMix64(1).next_below(n),
     "next_fraction": lambda n: SplitMix64(1).next_fraction(n),
-    "next_ternary_rational": lambda n: SplitMix64(1).next_ternary_rational(n),
 }
 
 CAPPED = {
@@ -84,3 +84,12 @@ def test_index_at_its_bounds_accepted():
 def test_non_int_seed_rejected(seed):
     with pytest.raises(ParameterError):
         SplitMix64(seed)
+
+
+def test_seed_gives_the_reference_stream():
+    # the first words of the reference splitmix64.c from seed 0: verify's JSON
+    # report holds no drawn input, so only this pins the stream of cases
+    rng = SplitMix64(0)
+    assert [rng.next_word() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
