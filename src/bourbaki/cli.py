@@ -27,6 +27,7 @@ from .function import (
 )
 from .geometry import arc_length_profile, box_count, dimension_estimate, interval_mass
 from .render import csv_table, decimal_12, format_value, svg_polyline
+from .ternary import check_index
 from .verify import available_suites, run_verification
 
 _RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
@@ -52,6 +53,11 @@ def _parse_rational(text: str) -> Fraction:
     if q == 0:
         raise ParseError(f"zero denominator in {text!r}")
     return p / q
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, though argparse echoes unrecognized tokens as written
+        super().error(" ".join(message.split()))
 
 
 def _family(a_text: str | None) -> FamilyParam:
@@ -107,8 +113,8 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_boxdim(args) -> int:
-    # from level 0 even when --max-level is negative, which dimension_estimate refuses
-    counts = [box_count(i) for i in range(max(args.max_level, 0) + 1)]
+    check_index(args.max_level, "--max-level", 1)
+    counts = [box_count(i) for i in range(args.max_level + 1)]
     estimate = decimal_12(dimension_estimate(args.max_level, counts[-1]))
     if args.format == "table":
         print("level delta count")
@@ -152,7 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bourbaki",
         description=(
             "Exact evaluation, construction and geometry of a classical "

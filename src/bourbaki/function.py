@@ -321,7 +321,7 @@ def approx_eval(text: str, tol) -> tuple[Fraction, Fraction]:
         wide, narrow = wide * abs(leaf[d][0]), narrow * leaf[d][2]
         depth += 1
     lo, hi = Fraction(b, den), Fraction(s + b, den)
-    return (lo, hi) if lo <= hi else (hi, lo)
+    return min(lo, hi), max(lo, hi)
 
 
 def classical_table(i: int) -> BreakpointTable:

@@ -15,6 +15,10 @@ endpoint sitting exactly on a grid line therefore does not drag in the
 neighboring box it merely touches.  This is the convention under which the
 hand counts at levels 0, 1, 2 come out as 1, 5, 25, and the count is exactly
 5**i at every level.
+
+Covers are the columns of the IFS table (``function.ifs_refine``), box counts
+those of the refinement table, so the two stay independent routes; a digit path
+is the base-3 address of its x-interval, as everywhere in the package.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Iterator
 
 from .errors import ConsistencyError
 from .antiderivative import build_F_iterate, iter_F_iterates
-from .function import BreakpointTable, build_iterate
+from .function import BreakpointTable, build_iterate, ifs_refine
 from .render import decimal_12
 from .ternary import check_digits, check_index
 
@@ -111,7 +115,8 @@ def dimension_estimate(level: int, count: int) -> Decimal:
 
 @dataclass(frozen=True)
 class CoverRectangle:
-    """One rectangle of the self-similar cover, addressed by its digit path."""
+    """One rectangle of the self-similar cover: a column of the IFS table,
+    addressed by the base-3 digits of its x-interval."""
 
     digits: tuple[int, ...]
     x_lo: Fraction
@@ -135,39 +140,25 @@ def _gap(lo: Fraction, hi: Fraction) -> tuple[int, int]:
 
 
 def cover_level(i: int) -> list[CoverRectangle]:
-    """The 3**i rectangles covering the graph at depth i, in digit-path order.
+    """The 3**i rectangles covering the graph at depth i, one per column of
+    the IFS table: ``ifs_refine`` folded i times from the level-0 table.
 
-    Paths come in ``itertools.product(range(3), repeat=i)`` order.  The walk
-    keeps each rectangle as integers (path, x0, y0, y1) over p = 3**level,
-    with width 1/p; its children under the three plane maps, over 3p, are
-
-        digit 0: (x0, 2 y0, 2 y1)
-        digit 1: (2p - 1 - x0, p + y0, p + y1)
-        digit 2: (2p + x0, p + 2 y0, p + 2 y1)
-
-    Heights shrink by 2/3 for digits 0 and 2 and by 1/3 for digit 1, so a
-    rectangle's height is the product of those factors along its digit path.
-    Every depth-i coordinate is one of the p + 1 values n/p, so those are
-    built once as Fractions and shared by the rectangles.
+    Rectangle k spans x in [k/3**i, (k+1)/3**i] and y between the table's
+    values at its two ends, the image of the unit square under the plane
+    maps of the base-3 digits of k, first digit outermost; its ``digits``
+    are those digits, in ``itertools.product(range(3), repeat=i)`` order.
+    Every depth-i coordinate is one of the 3**i + 1 values n/3**i, so those
+    are built once as Fractions and shared by the rectangles.
     """
     check_index(i, cap=MAX_COVER_LEVEL)
-    nodes = [((), 0, 0, 1)]
-    p = 1
+    t = build_iterate(0)
     for _ in range(i):
-        nodes = [
-            child
-            for path, x, lo, hi in nodes
-            for child in (
-                (path + (0,), x, 2 * lo, 2 * hi),
-                (path + (1,), 2 * p - 1 - x, p + lo, p + hi),
-                (path + (2,), 2 * p + x, p + 2 * lo, p + 2 * hi),
-            )
-        ]
-        p *= 3
+        t = ifs_refine(t)
+    y, p = t.y_numerators, t.y_denominator
     frac = [Fraction(n, p) for n in range(p + 1)]
     return [
-        CoverRectangle(path, frac[x], frac[x + 1], frac[lo], frac[hi])
-        for path, x, lo, hi in nodes
+        CoverRectangle(path, frac[k], frac[k + 1], frac[min(lo, hi)], frac[max(lo, hi)])
+        for k, (path, lo, hi) in enumerate(zip(product(range(3), repeat=i), y, y[1:]))
     ]
 
 

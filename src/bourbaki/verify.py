@@ -16,8 +16,10 @@ Suite contents:
                  ternary-expansion round trip they rest on.
 * ``integrals``  fixed values of F, its three scaling identities, and the
                  closed-form integrals at periodic-expansion points.
-* ``geometry``   box counts, cover areas, interval masses and arc-length
-                 monotonicity at small levels.
+* ``geometry``   box counts (refinement tables), cover areas (IFS tables,
+                 so ``ifs_refine`` and the plane maps of ``digit_triples``),
+                 interval masses and arc-length monotonicity at small
+                 levels.
 * ``family``     symmetry and left scaling for random parameters a, plus
                  the a = 2/3 member inside its column of the classical
                  level-8 table, two levels past the level-6 table of that

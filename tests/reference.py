@@ -24,7 +24,7 @@ no other code with the package's closures, and none with
   ``math.isqrt`` per segment for the floor and ``isqrt(n - 1) + 1`` for the
   ceiling;
 * ``reference_cover`` -- the cover rectangles from the three plane maps,
-  applied to Fraction intervals.
+  applied to Fraction intervals, first digit outermost.
 """
 
 from dataclasses import dataclass
@@ -169,21 +169,23 @@ def reference_root_sums(t) -> tuple[int, int]:
 
 def reference_cover(i: int) -> list[CoverRectangle]:
     """The depth-i cover, each rectangle the image of the unit square under
-    its path's plane maps, the last digit's map applied last:
+    its path's plane maps, the first digit's map applied last, so that a
+    path is the base-3 address of its rectangle's x-interval:
 
         digit 0: (x, y) -> (x/3, 2y/3)
-        digit 1: (x, y) -> ((2 - x)/3, (1 + y)/3)
+        digit 1: (x, y) -> ((1 + x)/3, (2 - y)/3)
         digit 2: (x, y) -> ((2 + x)/3, (1 + 2y)/3)
     """
+    images = (
+        lambda x0, x1, y0, y1: (x0 / 3, x1 / 3, 2 * y0 / 3, 2 * y1 / 3),
+        lambda x0, x1, y0, y1: ((1 + x0) / 3, (1 + x1) / 3, (2 - y1) / 3, (2 - y0) / 3),
+        lambda x0, x1, y0, y1: ((2 + x0) / 3, (2 + x1) / 3, (1 + 2 * y0) / 3, (1 + 2 * y1) / 3),
+    )
     rects = [((), F(0), F(1), F(0), F(1))]
     for _ in range(i):
         rects = [
-            child
-            for path, x0, x1, y0, y1 in rects
-            for child in (
-                (path + (0,), x0 / 3, x1 / 3, 2 * y0 / 3, 2 * y1 / 3),
-                (path + (1,), (2 - x1) / 3, (2 - x0) / 3, (1 + y0) / 3, (1 + y1) / 3),
-                (path + (2,), (2 + x0) / 3, (2 + x1) / 3, (1 + 2 * y0) / 3, (1 + 2 * y1) / 3),
-            )
+            ((d,) + path, *image(*box))
+            for d, image in enumerate(images)
+            for path, *box in rects
         ]
     return [CoverRectangle(*r) for r in rects]

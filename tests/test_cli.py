@@ -17,9 +17,9 @@ from math import isqrt
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bourbaki import geometry, verify
+from bourbaki import function, geometry, verify
 from bourbaki.cli import run
-from bourbaki.errors import ParameterError
+from bourbaki.errors import ConsistencyError, ParameterError
 from bourbaki.function import CLASSICAL
 from bourbaki.render import csv_table, decimal_12, format_rational, format_value
 from bourbaki.verify import run_verification
@@ -228,13 +228,13 @@ class TestGeometryCommands:
         assert run(["boxdim", "--max-level", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: level must be an integer >= 1, got 0\n"
+        assert captured.err == "error: --max-level must be an integer >= 1, got 0\n"
 
     def test_boxdim_refuses_a_negative_level(self, capsys):
         assert run(["boxdim", "--max-level", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: level must be an integer >= 1, got -1\n"
+        assert captured.err == "error: --max-level must be an integer >= 1, got -1\n"
 
     def test_arclength_lines(self, capsys):
         assert run(["arclength", "--max-level", "1"]) == 0
@@ -373,6 +373,24 @@ class TestVerifyCommand:
             }
             for i in range(1, 6)
         ]
+
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            lambda p, q: ((p, 0, q), (q + 2 * p, p, q), (p, q - p, q)),
+            lambda p, q: ((p, 0, q), (q - 2 * p, p, q), (p, q + p, q)),
+        ],
+        ids=["middle-slope", "right-offset"],
+    )
+    def test_geometry_suite_sees_the_plane_maps(self, capsys, monkeypatch, triples):
+        # the cover is read off ifs_refine, the one route verify runs that applies them
+        monkeypatch.setattr(function, "digit_triples", lambda a: triples(a.numerator, a.denominator))
+        with pytest.raises(ConsistencyError, match="map images disagree at shared corners"):
+            run_verification("geometry", 42, 25)
+        assert run(["verify", "--suite", "geometry"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "map images disagree at shared corners" in captured.err
 
     def test_failure_record_of_a_holds_check(self, monkeypatch):
         monkeypatch.setattr(verify, "mass_bound_check", lambda i: False)
@@ -518,6 +536,15 @@ class TestExitCodes:
     def test_invalid_input_exits_1(self, capsys, argv):
         assert run(argv) == 1
 
+    @pytest.mark.parametrize("token", ["\n", "a\rb", "\u2028"], ids=["newline", "return", "separator"])
+    def test_a_line_break_stays_inside_the_error_line(self, capsys, token):
+        # argparse echoes an unrecognized token as written
+        assert run(["eval-f", "1/3", token]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert captured.err.endswith("\n") and last.startswith("bourbaki: error: unrecognized")
+
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
         assert "bourbaki" in capsys.readouterr().out
@@ -611,7 +638,9 @@ def _option(flag, values):
 
 def _argv(out_paths):
     """One argv of some subcommand: each option drawn from a few good values and
-    from junk, and each of them sometimes left out."""
+    from junk, and each of them sometimes left out.  The groups (an option and
+    its value, or a positional) come in any order, and sometimes one more group
+    of the same subcommand repeats an option or adds a positional."""
     target = _option("--target", _token("f", "F", "g"))
     case = _option("--case", _token("i", "iv", "v", "vi", "vii"))
     shapes = {
@@ -635,7 +664,9 @@ def _argv(out_paths):
         ],
     }
     return st.sampled_from(sorted(shapes)).flatmap(
-        lambda name: st.tuples(*shapes[name]).map(lambda parts: [name, *sum(parts, [])])
+        lambda name: st.tuples(*shapes[name], st.just([]) | st.one_of(shapes[name]))
+        .flatmap(st.permutations)
+        .map(lambda parts: [name, *sum(parts, [])])
     )
 
 

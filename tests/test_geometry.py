@@ -9,6 +9,7 @@ summation path.
 
 import dataclasses
 import decimal
+import functools
 import hashlib
 import itertools
 from decimal import Decimal
@@ -180,9 +181,9 @@ class TestCoverLevel:
             assert r.area == (r.x_hi - r.x_lo) * (r.y_hi - r.y_lo), r.digits
 
     def test_repr_is_pinned(self):
-        # the dataclass fields and their repr, pinned before ``area`` became one Fraction
+        # the dataclass fields and their repr, pinned once digit paths became base-3 addresses
         digest = hashlib.sha256(repr(cover_level(5)).encode()).hexdigest()
-        assert digest == "61bf11f1556f5709b7d9883c6f737011d90c64352b195800b20e92487ff9988c"
+        assert digest == "41f61d06ba90f04c4566e500b0ce3b5e593a5eb2bbde99e37dd1601759c18335"
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     def test_heights_are_factor_products(self, i):
@@ -202,6 +203,24 @@ class TestCoverLevel:
             for x, y in pts:
                 if r.x_lo <= x <= r.x_hi:
                     assert r.y_lo <= y <= r.y_hi, (r.digits, x)
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_digits_are_the_base3_address_of_x(self, i):
+        for r in cover_level(i):
+            assert r.x_lo == F(functools.reduce(lambda n, d: 3 * n + d, r.digits, 0), 3**i), r.digits
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_heights_are_the_hull_of_the_column(self, i):
+        # two levels finer, each column's values reach both ends of its rectangle
+        y = build_iterate(i + 2).y_numerators
+        for k, r in enumerate(cover_level(i)):
+            column = y[9 * k : 9 * k + 10]
+            assert (r.y_lo, r.y_hi) == (F(min(column), 9 * 3**i), F(max(column), 9 * 3**i))
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_mass_is_height_times_three_fifths_to_the_level(self, i):
+        for r in cover_level(i):
+            assert interval_mass(r.digits) == (r.y_hi - r.y_lo) * F(3, 5) ** i, r.digits
 
     @pytest.mark.parametrize("i", range(7))
     def test_matches_plane_map_construction(self, i):
