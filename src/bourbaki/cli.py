@@ -18,6 +18,7 @@ from .antiderivative import build_F_iterate, eval_F_exact, integral_closed_form
 from .errors import BourbakiError, ConsistencyError, ParameterError, ParseError
 from .function import (
     CLASSICAL,
+    MAX_TABLE_LEVEL,
     FamilyParam,
     approx_eval,
     build_iterate,
@@ -25,7 +26,14 @@ from .function import (
     eval_exact,
     parse_decimal,
 )
-from .geometry import arc_length_profile, box_count, dimension_estimate, interval_mass
+from .geometry import (
+    MAX_ARC_LEVEL,
+    MAX_BOX_LEVEL,
+    arc_length_profile,
+    box_count,
+    dimension_estimate,
+    interval_mass,
+)
 from .render import csv_table, decimal_12, format_value, svg_polyline
 from .ternary import check_index
 from .verify import available_suites, run_verification
@@ -99,6 +107,7 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
+    check_index(args.level, "--level", 0, MAX_TABLE_LEVEL)
     if args.target == "f":
         table = build_iterate(args.level, _family(args.a))
     else:
@@ -113,7 +122,7 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_boxdim(args) -> int:
-    check_index(args.max_level, "--max-level", 1)
+    check_index(args.max_level, "--max-level", 1, MAX_BOX_LEVEL)
     counts = [box_count(i) for i in range(args.max_level + 1)]
     estimate = decimal_12(dimension_estimate(args.max_level, counts[-1]))
     if args.format == "table":
@@ -134,6 +143,7 @@ def _cmd_boxdim(args) -> int:
 
 
 def _cmd_arclength(args) -> int:
+    check_index(args.max_level, "--max-level", 0, MAX_ARC_LEVEL)
     for level, length in enumerate(arc_length_profile(args.max_level)):
         print(f"{level} {decimal_12(length)}")
     return 0

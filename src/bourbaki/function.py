@@ -198,32 +198,26 @@ def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
 def bracket_value(x, depth: int) -> tuple[Fraction, Fraction]:
     """Enclose the classical f(x) between iterate-segment endpoint values.
 
-    Refines only the segment containing x through ``depth`` construction
-    steps (the full level-``depth`` table would be astronomically large, but
-    its values at the two surviving breakpoints are identical because
-    refinement never moves an existing breakpoint).  Every deeper value on
-    the segment stays between the endpoint values, so the pair brackets f(x)
-    with gap at most (2/3)**depth.  Independent of the digit-map evaluator.
-    A depth over MAX_BRACKET_DEPTH raises ``ResourceLimitError``.
+    Refines only the segment holding x through ``depth`` construction steps.
+    Refinement never moves a breakpoint, so the segment's end values are
+    those of the level-``depth`` table, and every deeper value over it lies
+    between them: they bracket f(x) with gap at most (2/3)**depth.  An
+    integer walk: x's place in its segment is t over x's denominator, the
+    end values are integers over 3**depth, and a seam takes the left segment.
+    Independent of the digit maps and the tables.  A depth over
+    MAX_BRACKET_DEPTH raises ``ResourceLimitError``.
     """
     r = check_unit_interval(x)
     check_index(depth, "depth", cap=MAX_BRACKET_DEPTH)
-    x0, y0 = Fraction(0), Fraction(0)
-    x1, y1 = Fraction(1), Fraction(1)
+    p, q = CLASSICAL.a.numerator, CLASSICAL.a.denominator
+    t, den, y0, y1 = r.numerator, r.denominator, 0, 1
     for _ in range(depth):
-        w = x1 - x0
-        dy = y1 - y0
-        c1 = x0 + w / 3
-        c2 = x0 + 2 * w / 3
-        v1 = y0 + CLASSICAL.a * dy
-        v2 = y0 + (1 - CLASSICAL.a) * dy
-        if r <= c1:
-            x1, y1 = c1, v1
-        elif r <= c2:
-            x0, y0, x1, y1 = c1, v1, c2, v2
-        else:
-            x0, y0, x1, y1 = c2, v2, x1, y1
-    return (min(y0, y1), max(y0, y1))
+        # the refined segment's four values; x's third k keeps values k and k + 1
+        ys = (q * y0, (q - p) * y0 + p * y1, p * y0 + (q - p) * y1, q * y1)
+        t *= 3
+        k = 0 if t <= den else 1 if t <= 2 * den else 2
+        y0, y1, t = ys[k], ys[k + 1], t - k * den
+    return Fraction(min(y0, y1), q**depth), Fraction(max(y0, y1), q**depth)
 
 
 _CASES = ("i", "ii", "iii", "iv", "v", "vi")
@@ -240,8 +234,9 @@ def closed_form_value(case: str, i: int, j: int | None = None) -> tuple[Fraction
     v     1/(3**j + 3**i)    (2/3)**i * 2**(j-i) / (3**(j-i) + 2**(j-i))
     vi    1/(3**j - 3**i)    (2/3)**i * 2**(j-i) / (3**(j-i) + 2**(j-i-1))
 
-    Cases v and vi require j > i >= 1; cases i to iv take no j.  Indices
-    above MAX_CLOSED_FORM_INDEX raise ``ResourceLimitError``.
+    Cases v and vi, which require j > i >= 1, are cases i and ii at j - i moved
+    by f(x/3**i) = (2/3)**i f(x); cases i to iv take no j.  Indices above
+    MAX_CLOSED_FORM_INDEX raise ``ResourceLimitError``.
     """
     if case not in _CASES:
         raise ParameterError(f"case must be one of {_CASES}, got {case!r}")
@@ -251,6 +246,8 @@ def closed_form_value(case: str, i: int, j: int | None = None) -> tuple[Fraction
         raise ParameterError(f"case {case} {need} second index j")
     if j is not None:
         check_index(j, "index j", i + 1, MAX_CLOSED_FORM_INDEX)
+        x, v = closed_form_value("i" if case == "v" else "ii", j - i)
+        return x / 3**i, Fraction(2, 3) ** i * v
     p3, p2 = 3**i, 2**i
     if case == "i":
         return Fraction(1, p3 + 1), Fraction(p2, p3 + p2)
@@ -258,13 +255,7 @@ def closed_form_value(case: str, i: int, j: int | None = None) -> tuple[Fraction
         return Fraction(1, p3 - 1), Fraction(p2, p3 + p2 // 2)
     if case == "iii":
         return Fraction(2, p3 + 1), Fraction(p2 // 2, p3 - p2 // 2)
-    if case == "iv":
-        return Fraction(2, p3 - 1), Fraction(p2 // 2, p3 - p2)
-    k = j - i
-    scale = Fraction(2, 3) ** i
-    if case == "v":
-        return Fraction(1, 3**j + p3), scale * Fraction(2**k, 3**k + 2**k)
-    return Fraction(1, 3**j - p3), scale * Fraction(2**k, 3**k + 2 ** (k - 1))
+    return Fraction(2, p3 - 1), Fraction(p2 // 2, p3 - p2)
 
 
 _DECIMAL_RE = re.compile(r"([0-9]+)(?:\.([0-9]*))?|\.([0-9]+)")

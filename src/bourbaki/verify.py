@@ -21,9 +21,9 @@ Suite contents:
                  interval masses and arc-length monotonicity at small
                  levels.
 * ``family``     symmetry and left scaling for random parameters a, plus
-                 the a = 2/3 member inside its column of the classical
-                 level-8 table, two levels past the level-6 table of that
-                 same refinement whose columns the closure reads.
+                 the a = 2/3 member inside ``bracket_value``'s level-8
+                 bracket, the segment refinement followed two levels past
+                 the level-6 table whose columns the closure reads.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .antiderivative import (
     range_integral,
 )
 from .errors import ParameterError
-from .function import CLASSICAL, FamilyParam, build_iterate, closed_form_value, eval_exact
+from .function import FamilyParam, bracket_value, closed_form_value, eval_exact
 from .geometry import (
     arc_length_profile,
     box_count,
@@ -254,8 +254,6 @@ def _random_param(rng: SplitMix64) -> FamilyParam:
 
 
 def _suite_family(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
-    # over each level-8 column the classical graph lies between the column's end values
-    cols, ynums = 3**8, build_iterate(8).y_numerators
     for _ in range(samples):
         param = _random_param(rng)
         x = _random_x(rng)
@@ -273,12 +271,8 @@ def _suite_family(check: VerifyReport, rng: SplitMix64, samples: int) -> None:
             eval_exact(x / 3**i, param),
         )
         check.equal(f"family value at 1/3 for a={a}", a, eval_exact(Fraction(1, 3), param))
-        k = min(x.numerator * cols // x.denominator, cols - 1)
-        y = cols * eval_exact(x, CLASSICAL)
-        check.holds(
-            f"classical member in its level-8 column at x={x}",
-            min(ynums[k], ynums[k + 1]) <= y <= max(ynums[k], ynums[k + 1]),
-        )
+        lo, hi = bracket_value(x, 8)
+        check.holds(f"classical member in its level-8 bracket at x={x}", lo <= eval_exact(x) <= hi)
 
 
 _SUITES: dict[str, Callable[[VerifyReport, SplitMix64, int], None]] = {

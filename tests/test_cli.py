@@ -236,6 +236,26 @@ class TestGeometryCommands:
         assert captured.out == ""
         assert captured.err == "error: --max-level must be an integer >= 1, got -1\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["iterate", "--target", "f", "--level", "-1"], "--level must be an integer >= 0, got -1"),
+            (["iterate", "--target", "F", "--level", "14"], "--level 14 exceeds the supported cap 13"),
+            (["arclength", "--max-level", "-1"], "--max-level must be an integer >= 0, got -1"),
+            (["arclength", "--max-level", "13"], "--max-level 13 exceeds the supported cap 12"),
+            (["boxdim", "--max-level", "11"], "--max-level 11 exceeds the supported cap 10"),
+        ],
+    )
+    def test_out_of_range_levels_name_the_option(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "out.csv"
+        if argv[0] == "iterate":
+            argv = argv + ["--format", "csv", "--out", str(path)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not path.exists()
+
     def test_arclength_lines(self, capsys):
         assert run(["arclength", "--max-level", "1"]) == 0
         assert capsys.readouterr().out == "0 1.11803398875\n1 1.12465898910\n"

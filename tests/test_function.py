@@ -13,8 +13,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bourbaki import function
+from bourbaki import function, verify
 from bourbaki.antiderivative import build_F_iterate
+from bourbaki.cli import run
 from bourbaki.errors import (
     DomainError,
     ParameterError,
@@ -35,7 +36,8 @@ from bourbaki.function import (
     parse_decimal,
 )
 from bourbaki.ternary import digit_triples, to_ternary
-from reference import compose_chain, digit_step_map, reference_close
+from bourbaki.verify import run_verification
+from reference import compose_chain, digit_step_map, reference_bracket, reference_close
 
 F = Fraction
 HALF_PARAM = FamilyParam(F(1, 2))
@@ -334,7 +336,8 @@ class TestClosedForm:
             closed_form_value("i", 0)
         with pytest.raises(ParameterError):
             closed_form_value("v", 2)
-        with pytest.raises(ParameterError):
+        # j is checked before cases v and vi step to case i or ii at j - i
+        with pytest.raises(ParameterError, match="^index j must be an integer >= 3, got 2$"):
             closed_form_value("v", 2, 2)
         with pytest.raises(ParameterError):
             closed_form_value("iv", 2, 3)
@@ -373,6 +376,44 @@ class TestBracketValue:
     )
     def test_column_ends_take_the_left_column(self, x, bracket):
         assert bracket_value(x, 1) == bracket
+
+    @given(
+        st.integers(0, 6).flatmap(lambda e: st.integers(0, 3**e).map(lambda k: F(k, 3**e)))
+        | st.fractions(0, 1, max_denominator=10**4),
+        st.integers(0, 40),
+    )
+    @settings(deadline=None, max_examples=150)
+    @example(F(0), 40)
+    @example(F(1), 40)
+    def test_equals_the_reference_walk(self, x, depth):
+        assert bracket_value(x, depth) == reference_bracket(x, F(2, 3), depth)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda k: st.integers(1, 10**k).map(lambda m: "1" if m == 10**k else f"0.{m:0{k}d}")
+        ),
+        st.integers(1, 10**9).map(lambda t: F(1, t)),
+    )
+    @settings(deadline=None, max_examples=100)
+    @example("1", F(1, 1000))
+    def test_approx_eval_is_the_first_bracket_within_tol(self, text, tol):
+        # no decimal in (0, 1) is triadic, so none sits on a seam, and 1 reads 0.222...:
+        # the digit maps walk the bracket's segments
+        x, n = parse_decimal(text), 0
+        lo, hi = bracket_value(x, n)
+        while hi - lo > tol:
+            n += 1
+            lo, hi = bracket_value(x, n)
+        assert approx_eval(text, tol) == (lo, hi)
+
+    def test_verify_reads_the_bracket(self, capsys, monkeypatch):
+        # f lies in [0, 1], so this bracket misses it at every sample
+        monkeypatch.setattr(verify, "bracket_value", lambda x, depth: (F(2), F(3)))
+        failures = run_verification("family", 42, 25).failures
+        assert len(failures) == 25
+        assert all(f["input"].startswith("classical member in its level-8 bracket") for f in failures)
+        assert run(["verify", "--suite", "family"]) == 2
+        assert '"actual": "false"' in capsys.readouterr().out
 
 
 class TestApproxEval:

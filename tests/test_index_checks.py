@@ -3,7 +3,9 @@
 Every index must be a true ``int``: ``bool`` (an ``int`` subclass) and any
 other type raise ``ParameterError``, and an index over its documented cap
 raises ``ResourceLimitError``.  The seed of ``SplitMix64`` is checked the same
-way, and pins the generator's reference stream.
+way, and pins the generator's reference stream.  Seeds found by inverting the
+output mix give the words next to 2**64 that ``next_below``'s rejection limit
+separates.
 """
 
 from fractions import Fraction
@@ -93,3 +95,50 @@ def test_seed_gives_the_reference_stream():
     assert [rng.next_word() for _ in range(3)] == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
     ]
+
+
+
+def test_seed_gives_the_reference_fractions():
+    # verify's points: a denominator from one word, then a numerator from the next
+    rng = SplitMix64(0)
+    assert [rng.next_fraction(10**4) for _ in range(3)] == [
+        Fraction(256, 471), Fraction(41, 80), Fraction(552, 1187),
+    ]
+
+
+_MASK = 2**64 - 1
+
+
+def _unshift(y: int, k: int) -> int:
+    """The x with x ^ (x >> k) == y: each pass recovers k more of its top bits."""
+    x = y
+    for _ in range(64 // k):
+        x = y ^ (x >> k)
+    return x
+
+
+def _seed_for_first_word(word: int) -> int:
+    """The seed whose first SplitMix64 word is ``word``: each step of the output
+    mix (an xorshift, or a product by an odd constant mod 2**64) is undone."""
+    z = _unshift(word, 31) * pow(0x94D049BB133111EB, -1, 2**64) & _MASK
+    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & _MASK
+    return (_unshift(z, 30) - 0x9E3779B97F4A7C15) & _MASK
+
+
+@pytest.mark.parametrize(
+    "first,drawn,after",
+    [
+        # 2**64 = 1 mod 3, so bound 3 rejects only the word 2**64 - 1: the draw
+        # takes the second word, and the third comes next
+        (2**64 - 1, 0xC0986A9C933F53D1 % 3, 0xCDFA10A2E2FF33D6),
+        # the largest word it accepts: the draw takes it, and the second comes next
+        (2**64 - 2, (2**64 - 2) % 3, 0xC377F4EE0ADC46A5),
+    ],
+    ids=["rejected", "accepted"],
+)
+def test_next_below_rejects_only_words_past_the_limit(first, drawn, after):
+    seed = _seed_for_first_word(first)
+    assert SplitMix64(seed).next_word() == first
+    rng = SplitMix64(seed)
+    assert rng.next_below(3) == drawn
+    assert rng.next_word() == after
