@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import add
 from typing import Iterator
 
@@ -57,7 +57,7 @@ from .ternary import (
 def _integrate(t: BreakpointTable) -> BreakpointTable:
     """F's table at the level of the f table ``t``, which must reach F(1) = 1/2."""
     n = t.y_numerators
-    ynums = list(accumulate(map(add, n, n[1:]), initial=0))
+    ynums = list(accumulate(map(add, n, islice(n, 1, None)), initial=0))
     den = 3**t.level * t.y_denominator
     if ynums[-1] != den:
         raise ConsistencyError("the trapezoid sum of the f table misses F(1) = 1/2")

@@ -34,7 +34,7 @@ from .geometry import (
     dimension_estimate,
     interval_mass,
 )
-from .render import csv_table, decimal_12, format_value, svg_polyline
+from .render import csv_chunks, decimal_12, format_value, svg_chunks
 from .ternary import check_index
 from .verify import available_suites, run_verification
 
@@ -114,9 +114,9 @@ def _cmd_iterate(args) -> int:
         if args.a is not None:
             raise ParameterError("--a applies only to --target f")
         table = build_F_iterate(args.level)
-    content = csv_table(table) if args.format == "csv" else svg_polyline(table)
+    chunks = csv_chunks(table) if args.format == "csv" else svg_chunks(table)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
+        handle.writelines(chunks)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

@@ -41,6 +41,7 @@ from .errors import (
 from .ternary import (
     block_maps,
     check_index,
+    check_type,
     check_unit_interval,
     close_triples,
     compose_triples,
@@ -72,6 +73,16 @@ class FamilyParam:
 
 
 CLASSICAL = FamilyParam(Fraction(2, 3))
+
+
+def check_param(param) -> FamilyParam:
+    """Require a ``FamilyParam``, where a family parameter enters.  A bare
+    Fraction a is refused, not coerced: the message says to wrap it."""
+    if not isinstance(param, FamilyParam):
+        raise ParameterError(
+            f"param must be a FamilyParam, got {type(param).__name__}: wrap a as FamilyParam(a)"
+        )
+    return param
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -109,6 +120,7 @@ def iter_iterates(max_level: int, param: FamilyParam = CLASSICAL) -> Iterator[Br
     The one level walk behind every f and F table; the level is checked when called.
     """
     check_index(max_level, cap=MAX_TABLE_LEVEL)
+    check_param(param)
     p = param.a.numerator
     q = param.a.denominator
 
@@ -135,6 +147,7 @@ def build_iterate(i: int, param: FamilyParam = CLASSICAL) -> BreakpointTable:
 
 def eval_iterate(t: BreakpointTable, x) -> Fraction:
     """Exact value of the iterate at any x in [0, 1] by linear interpolation."""
+    check_type(t, BreakpointTable, "table")
     r = check_unit_interval(x)
     xden = 3**t.level
     scaled = r * xden
@@ -156,6 +169,7 @@ def ifs_refine(t: BreakpointTable) -> BreakpointTable:
     are deduplicated after an exact equality check.  Must agree exactly
     with ``build_iterate(t.level + 1, t.param)``; tables of F are refused.
     """
+    check_type(t, BreakpointTable, "table")
     if t.param is None:
         raise ParameterError("the iterated function system applies to tables of f_a only")
     check_index(t.level + 1, cap=MAX_TABLE_LEVEL)
@@ -186,7 +200,7 @@ def eval_exact(x, param: FamilyParam = CLASSICAL) -> Fraction:
     the period composite contracts, since its |slope| is at most
     max(a, 1 - a, |2a - 1|) ** period_length < 1."""
     pre, _, _, period = read_point(x)
-    rows = block_rows(param)
+    rows = block_rows(check_param(param))
     leaves = block_maps(period, rows) if period else []
     if period and period.halved:
         # the leaves read half an antiperiodic period; its second half maps v -> 1 - v,

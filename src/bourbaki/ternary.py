@@ -72,6 +72,13 @@ def check_index(i, what: str = "level", low: int = 0, cap: int | None = None) ->
     return i
 
 
+def check_type(value, kind: type, what: str):
+    """Require an instance of ``kind``; anything else raises ``ParameterError`` naming its type."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def check_digits(digits, what: str = "digits") -> bytes:
     """The one test of what a base-3 digit is: the ints 0, 1 and 2.
 
@@ -381,6 +388,7 @@ def _base3_value(digits: bytes) -> int:
 def from_ternary(e: TernaryExpansion) -> Fraction:
     """Exact value of a canonical expansion by place value: a preperiod P of
     m digits and a period W of L digits make (P + W/(3**L - 1))/3**m."""
+    check_type(e, TernaryExpansion, "expansion")
     den = 3 ** len(e.period) - 1 if e.period else 1
     num = _base3_value(e.preperiod) * den + _base3_value(e.period)
     return Fraction(num, den * 3 ** len(e.preperiod))

@@ -48,6 +48,11 @@ ITERATE_DIGESTS = [
     (["f", "6", "svg", "37/76"], "baaba142bf35cf4b2c14505cb5a0c6526f239e7957ea78619c182ed5fc7dffdd"),
     (["f", "7", "svg", "1/99991"], "ffadd65fd8d8dade13acd5edd7dbc367078f68f517463375ab8f5897d0753eb8"),
     (["f", "7", "csv", "1/99991"], "bf76397ba611225c886cfa453fb1636a615e40a601a40e046230d11976138d49"),
+    # tables of more than one 4096-row chunk; the last takes the two-rounding path
+    (["f", "10", "csv"], "3c6488d361bed1d9100837b4e40c21958899153a12d6a0899fd5953e906f200f"),
+    (["F", "9", "svg"], "70fb3e18668353c0547843907c38e5661677181b168ecf654ad5365c8dbce528"),
+    (["F", "10", "csv"], "de583e2c3e7ae7cfa9cc9d77743d61ff60ecce0ba156ef43005ca9cecae4c7bb"),
+    (["f", "8", "svg", "1/99991"], "a6e1270b71f13c8ae6a87365b578b199dbf435796682242f1a14d44918e716c3"),
 ]
 
 

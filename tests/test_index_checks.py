@@ -1,11 +1,14 @@
-"""Integer indices across the exact API: levels, depths, case indices, counts.
+"""Integer indices across the exact API: levels, depths, case indices, counts;
+and the typed arguments beside them: family parameters, tables, expansions.
 
 Every index must be a true ``int``: ``bool`` (an ``int`` subclass) and any
 other type raise ``ParameterError``, and an index over its documented cap
 raises ``ResourceLimitError``.  The seed of ``SplitMix64`` is checked the same
 way, and pins the generator's reference stream.  Seeds found by inverting the
 output mix give the words next to 2**64 that ``next_below``'s rejection limit
-separates.
+separates.  A family parameter must be a ``FamilyParam``, a table a
+``BreakpointTable`` and an expansion a ``TernaryExpansion``: anything else,
+a bare ``Fraction`` too, raises ``ParameterError`` naming its type.
 """
 
 from fractions import Fraction
@@ -14,7 +17,15 @@ import pytest
 
 from bourbaki.antiderivative import build_F_iterate, integral_closed_form, iter_F_iterates
 from bourbaki.errors import ParameterError, ResourceLimitError
-from bourbaki.function import bracket_value, build_iterate, closed_form_value, iter_iterates
+from bourbaki.function import (
+    bracket_value,
+    build_iterate,
+    closed_form_value,
+    eval_exact,
+    eval_iterate,
+    ifs_refine,
+    iter_iterates,
+)
 from bourbaki.geometry import (
     arc_length_profile,
     box_count,
@@ -23,7 +34,7 @@ from bourbaki.geometry import (
     mass_measure,
 )
 from bourbaki.prng import SplitMix64
-from bourbaki.ternary import check_index
+from bourbaki.ternary import check_index, from_ternary
 from bourbaki.verify import run_verification
 
 INDEXED = {
@@ -75,6 +86,29 @@ def test_index_over_cap(name):
     fn, over = CAPPED[name]
     with pytest.raises(ResourceLimitError):
         fn(over)
+
+
+MISTYPED = {
+    "eval_exact_fraction_param": (lambda: eval_exact(Fraction(1, 3), Fraction(1, 4)), "Fraction"),
+    "eval_exact_list_param": (lambda: eval_exact(Fraction(1, 3), [2]), "list"),
+    "build_iterate_fraction_param": (lambda: build_iterate(2, Fraction(1, 4)), "Fraction"),
+    "iter_iterates_none_param": (lambda: iter_iterates(2, None), "NoneType"),
+    "eval_iterate_none_table": (lambda: eval_iterate(None, Fraction(1, 2)), "NoneType"),
+    "ifs_refine_str_table": (lambda: ifs_refine("t"), "str"),
+    "from_ternary_fraction": (lambda: from_ternary(Fraction(1, 3)), "Fraction"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISTYPED))
+def test_mistyped_argument_rejected(name):
+    call, type_name = MISTYPED[name]
+    with pytest.raises(ParameterError, match=f"got {type_name}"):
+        call()
+
+
+def test_bare_fraction_param_says_to_wrap_it():
+    with pytest.raises(ParameterError, match=r"wrap a as FamilyParam\(a\)"):
+        eval_exact(Fraction(1, 3), Fraction(1, 4))
 
 
 def test_index_at_its_bounds_accepted():

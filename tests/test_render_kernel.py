@@ -6,14 +6,22 @@ time: ``Context(prec=40).divide`` and then a half-even 6-place ``quantize``.
 Draws cover denominators on both sides of 10**31 (one rounding below, two
 past it), both ends of [2, 898], exact 6-place ties n/den = (2k + 1)/(2·10**6)
 and their neighbours n ± 1, and exact ties at the 40th significant digit.
+
+The table renderers stream ``_CHUNK`` rows or points at a time: tables just
+short of, at and past a chunk boundary render as the one-shot reference
+does, and streaming a level-10 table holds less than half its text.
 """
 
+import tracemalloc
+from collections import deque
 from decimal import ROUND_HALF_EVEN, Context, Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bourbaki.render import _micros
+from bourbaki.function import BreakpointTable, build_iterate
+from bourbaki.render import _CHUNK, _micros, csv_chunks, csv_table, svg_chunks, svg_polyline
 
 CTX = Context(prec=40)
 SIX = Decimal("0.000001")
@@ -96,3 +104,56 @@ def test_range_column(den):
     ks = range(den // 7, den + 1, max(1, den // 50))
     expected = [decimal_coord(2 * den + 896 * k, den) for k in ks]
     assert kernel_coords(_micros(ks, den, 2 * den, 896)) == expected
+
+
+SVG_HEAD = (
+    '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 900 900" width="900" height="900">\n'
+    '  <polyline fill="none" stroke="black" stroke-width="1" points="'
+)
+SVG_TAIL = '"/>\n</svg>\n'
+
+
+def reference_csv(table) -> str:
+    xden = 3**table.level
+    rows = ["x_num,x_den,y_num,y_den"]
+    for k, n in enumerate(table.y_numerators):
+        x, y = Fraction(k, xden), Fraction(n, table.y_denominator)
+        rows.append(f"{x.numerator},{x.denominator},{y.numerator},{y.denominator}")
+    return "\n".join(rows) + "\n"
+
+
+def reference_svg(table) -> str:
+    xden, yden = 3**table.level, table.y_denominator
+    points = " ".join(
+        decimal_coord(2 * xden + 896 * k, xden) + "," + decimal_coord(898 * yden - 896 * n, yden)
+        for k, n in enumerate(table.y_numerators)
+    )
+    return SVG_HEAD + points + SVG_TAIL
+
+
+@pytest.mark.parametrize("yden", [3**9, 2 * 9**9, SPLIT + 7])
+@pytest.mark.parametrize("points", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_chunk_edges_match_one_shot_reference(points, yden):
+    # a level-9 grid holds 19,684 points; the numerators wander over [0, yden]
+    table = BreakpointTable(9, [k * 7919 % (yden + 1) for k in range(points)], yden)
+    sizes = [min(_CHUNK, points - i) for i in range(0, points, _CHUNK)]
+    csv = list(csv_chunks(table))
+    assert [c.count("\n") for c in csv] == [1, *sizes]
+    assert "".join(csv) == csv_table(table) == reference_csv(table)
+    svg = list(svg_chunks(table))
+    assert [c.count(",") for c in svg] == [0, *sizes, 0]
+    assert all(c.startswith(" ") for c in svg[2:-1])
+    assert "".join(svg) == svg_polyline(table) == reference_svg(table)
+
+
+@pytest.mark.parametrize("chunks", [csv_chunks, svg_chunks])
+def test_streaming_holds_under_half_the_text(chunks):
+    table = build_iterate(10)
+    size = sum(map(len, chunks(table)))
+    tracemalloc.start()
+    try:
+        deque(chunks(table), maxlen=0)  # a sink that discards every chunk
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2, (peak, size)
